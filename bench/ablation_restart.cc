@@ -114,7 +114,7 @@ Outcome RunOnce(bool specialized_redo, bool straddler_touches_im) {
 }
 
 struct RestartOutcome {
-  double restart_ms = 0;     // DiskRestartStandby wall time (recovery incl.)
+  double restart_ms = 0;     // RestartStandby wall time (recovery incl.)
   double ready_ms = 0;       // Restart begin -> first IMCS-served scan.
   uint64_t rows_from_imcs = 0;
   uint64_t restored_smus = 0;
@@ -161,7 +161,7 @@ RestartOutcome RunDiskRestart(bool snapshot_resume, size_t rows) {
 
   RestartOutcome out;
   Stopwatch watch;
-  (void)cluster.DiskRestartStandby();
+  (void)cluster.RestartStandby({.from_disk = true});
   out.restart_ms = static_cast<double>(watch.ElapsedNanos()) / 1e6;
   out.restored_smus = cluster.standby()->last_recovery().restored_smus;
   // Query-ready = a scan at (at least) the pre-restart snapshot served from

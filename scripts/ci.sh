@@ -13,8 +13,10 @@
 #           targets (net_test, log_shipping_test, transport_test) — the
 #           codec's byte-level parsing and the channels' buffer handling are
 #           where an out-of-bounds read or overflow would hide.
-#   chaos : crash–restart chaos matrix (chaos_test + chaos_matrix_test) under
-#           BOTH ASan+UBSan and TSan. Crash points are compiled in
+#   chaos : crash–restart chaos matrix (chaos_test + chaos_matrix_test) and
+#           the standby restart suite (restart_test: every RestartMode under a
+#           live writer and the background checkpoint thread) under BOTH
+#           ASan+UBSan and TSan. Crash points are compiled in
 #           (STRATUS_CHAOS=ON, the non-Release default); the matrix arms
 #           every crash point at seeded ordinals across apply DOP 1/2/4 and
 #           runs the cross-layer invariant auditor after each crash–restart
@@ -57,7 +59,7 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 
 TSAN_TESTS="metrics_test latch_test thread_pool_test redo_apply_test scan_engine_test query_test executor_test consistency_test net_test lag_monitor_test query_profile_test obs_server_test"
 ASAN_TESTS="net_test log_shipping_test transport_test"
-CHAOS_TESTS="chaos_test chaos_matrix_test"
+CHAOS_TESTS="chaos_test chaos_matrix_test restart_test"
 OBS_TESTS="obs_server_test query_profile_test lag_monitor_test"
 # fleet_chaos_test is plain-suite only: its churn + kill/rejoin workload is
 # wall-clock bound and balloons under TSan's serialization.

@@ -145,17 +145,13 @@ CycleResult CrashCycleDriver::RunCycle(CrashPoint point) {
     if (chaos_->fired()) {
       result.fired = true;
       ++cycles_fired_;
-      if (options_.disk_restart) {
-        // Kill-and-recover-from-disk: the cluster quiesces the shippers,
-        // tears the standby down without a final archive sync (so torn
-        // tails are real), replays archived redo over the last checkpoint,
-        // and resumes the IMCS from its snapshot.
-        const Status st = cluster_->DiskRestartStandby(/*crash=*/true);
-        if (!st.ok())
-          converge_violations.push_back("disk restart: " + st.message());
-      } else {
-        standby->CrashRestart();
-      }
+      // Crash teardown, no final archive sync. With disk_restart the cluster
+      // also quiesces the shippers, replays archived redo over the last
+      // checkpoint (torn tails are real), and resumes the IMCS from its
+      // snapshot.
+      const Status st = cluster_->RestartStandby(
+          {.crash = true, .from_disk = options_.disk_restart});
+      if (!st.ok()) converge_violations.push_back("restart: " + st.message());
       chaos_->Disarm();
     }
   }

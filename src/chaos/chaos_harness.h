@@ -54,9 +54,10 @@ struct HarnessOptions {
   bool check_accounting = true;
   /// Kill-and-recover-from-disk: when a crash point fires, recover the
   /// standby from its data directory (crash teardown, archived-redo replay
-  /// over the last fuzzy checkpoint, IMCS snapshot resume) via
-  /// AdgCluster::DiskRestartStandby instead of the in-memory CrashRestart.
-  /// Requires DatabaseOptions::persist enabled on the standby.
+  /// over the last fuzzy checkpoint, IMCS snapshot resume) with
+  /// RestartStandby({.crash = true, .from_disk = true}) instead of the
+  /// in-memory {.crash = true}. Requires DatabaseOptions::persist enabled on
+  /// the standby.
   bool disk_restart = false;
 };
 

@@ -638,7 +638,17 @@ void StandbyDb::EnableConfiguredObjects() {
   }
 }
 
-void StandbyDb::TearDownPipeline() {
+void StandbyDb::TearDownPipeline(bool crash) {
+  // A clean stop finishes an in-flight QuerySCN advance and its workers drain
+  // their queues with mining; a crash stop abandons the advance and drains
+  // the queues unmined (the crashed threads' state is not trusted).
+  const auto stop = [crash](auto* part) {
+    if (crash) {
+      part->CrashStop();
+    } else {
+      part->Stop();
+    }
+  };
   pipeline_metrics_cb_.Reset();
   for (auto& inst : instances_) {
     if (inst.populator != nullptr) inst.populator->Stop();
@@ -647,59 +657,18 @@ void StandbyDb::TearDownPipeline() {
     last_query_scn_.store(coordinator()->query_scn(), std::memory_order_release);
   if (splitter_ != nullptr) splitter_->Stop();
   if (engine_ != nullptr) {
-    engine_->Stop();
+    stop(engine_.get());
     last_applied_scn_.store(engine_->dispatched_scn(), std::memory_order_release);
   }
-  for (auto& e : mira_engines_) e->Stop();
+  for (auto& e : mira_engines_) stop(e.get());
   if (!mira_engines_.empty()) {
     Scn applied = kInvalidScn;
     for (auto& e : mira_engines_) applied = std::max(applied, e->dispatched_scn());
     last_applied_scn_.store(applied, std::memory_order_release);
   }
-  if (mira_coordinator_ != nullptr) mira_coordinator_->Stop();
+  if (mira_coordinator_ != nullptr) stop(mira_coordinator_.get());
   if (channel_ != nullptr) channel_->Stop();
   // Destroy in reverse dependency order.
-  for (auto& inst : instances_) {
-    inst.populator.reset();
-    inst.snapshot_source.reset();
-  }
-  mira_coordinator_.reset();
-  mira_engines_.clear();
-  mira_hooks_.clear();
-  splitter_.reset();
-  mira_streams_.clear();
-  engine_.reset();
-  channel_.reset();
-  for (auto& inst : instances_) inst.remote.reset();
-  mining_.reset();
-  flush_.reset();
-  applier_.reset();
-  ddl_table_.reset();
-  commit_table_.reset();
-  journal_.reset();
-}
-
-void StandbyDb::CrashTearDownPipeline() {
-  pipeline_metrics_cb_.Reset();
-  for (auto& inst : instances_) {
-    if (inst.populator != nullptr) inst.populator->Stop();
-  }
-  if (coordinator() != nullptr)
-    last_query_scn_.store(coordinator()->query_scn(), std::memory_order_release);
-  if (splitter_ != nullptr) splitter_->Stop();
-  if (engine_ != nullptr) {
-    engine_->CrashStop();
-    last_applied_scn_.store(engine_->dispatched_scn(), std::memory_order_release);
-  }
-  for (auto& e : mira_engines_) e->CrashStop();
-  if (!mira_engines_.empty()) {
-    Scn applied = kInvalidScn;
-    for (auto& e : mira_engines_) applied = std::max(applied, e->dispatched_scn());
-    last_applied_scn_.store(applied, std::memory_order_release);
-  }
-  if (mira_coordinator_ != nullptr) mira_coordinator_->CrashStop();
-  if (channel_ != nullptr) channel_->Stop();
-  // Destroy in reverse dependency order (same as TearDownPipeline).
   for (auto& inst : instances_) {
     inst.populator.reset();
     inst.snapshot_source.reset();
@@ -724,26 +693,37 @@ void StandbyDb::Start() {
   if (started_) return;
   // First boot with persistence configured: open the data directory and run
   // recovery BEFORE the pipeline exists, so redo apply and population start
-  // against the recovered state. DiskRestart re-runs this itself.
-  if (options_.persist.enabled && persist_ == nullptr) BootPersistence();
+  // against the recovered state. A failed boot latches the error and falls
+  // back to the all-RAM behavior.
+  if (options_.persist.enabled && persist_ == nullptr) {
+    const Status st = OpenAndRecover();
+    if (!st.ok()) NotePersistError(st);
+  }
   started_ = true;
   BuildPipeline();
   if (persist_ != nullptr)
     persist_->StartCheckpointThread([this] { (void)TakeCheckpoint(); });
 }
 
-void StandbyDb::Stop() {
+void StandbyDb::Shutdown(bool crash) {
   if (persist_ != nullptr) {
     persist_->StopCheckpointThread();
     // A clean stop leaves durable == delivered in every sync mode, so a new
-    // instance over this directory never depends on redelivery.
-    Status st = persist_->SyncAll();
-    if (!st.ok()) NotePersistError(st);
+    // instance over this directory never depends on redelivery. A crash
+    // leaves whatever tail the sync mode had not yet forced.
+    if (!crash) {
+      const Status st = persist_->SyncAll();
+      if (!st.ok()) NotePersistError(st);
+    }
   }
   if (started_) {
     started_ = false;
-    TearDownPipeline();
+    TearDownPipeline(crash);
   }
+}
+
+void StandbyDb::Stop() {
+  Shutdown(/*crash=*/false);
   if (promoted_) {
     for (auto& inst : instances_) {
       if (inst.populator != nullptr) inst.populator->Stop();
@@ -751,34 +731,47 @@ void StandbyDb::Stop() {
   }
 }
 
-void StandbyDb::Restart() {
-  if (promoted_) return;  // A promoted database no longer applies redo.
-  Stop();
+Status StandbyDb::Restart(RestartMode mode) {
+  if (promoted_)
+    return Status::FailedPrecondition("promoted standby no longer applies redo");
+  if (mode.from_disk && !options_.persist.enabled)
+    return Status::FailedPrecondition("persistence not enabled");
+  Shutdown(mode.crash);
   // The IMCS and all DBIM-on-ADG state are non-persistent (Section III.E):
-  // an instance restart loses them; only the physical database (block store,
-  // transaction table) and not-yet-consumed shipped redo survive.
+  // an instance restart loses them, along with any partial transactions'
+  // mined records; redo apply resumes from the surviving ReceivedLogs and
+  // re-mines.
   for (auto& inst : instances_) inst.store->Clear();
   last_query_scn_.store(kInvalidScn, std::memory_order_release);
-  ResetHealthForRestart();
-  restarts_.fetch_add(1, std::memory_order_relaxed);
-  Start();
-}
-
-void StandbyDb::CrashRestart() {
-  if (promoted_) return;
-  if (started_) {
-    started_ = false;
-    CrashTearDownPipeline();
+  if (mode.from_disk) {
+    // Simulated process death: EVERYTHING volatile goes — row store, txn
+    // table, table segments and identity indexes, apply accounting. Only the
+    // catalog stays warm (table creation is a bootstrap call, not redo; the
+    // checkpoint's dictionary restores cold starts). The archive tees hold
+    // the controller about to be swapped; delivery is quiescent
+    // (precondition), so removing them cannot race the archive hot path.
+    for (auto& s : streams_) s->SetDurableSink(nullptr);
+    blocks_.Reset();
+    txn_table_.Reset();
+    {
+      std::unique_lock<std::shared_mutex> g(tables_mu_);
+      for (auto& [oid, table] : tables_) table->ResetSegment();
+    }
+    {
+      std::lock_guard<std::mutex> g(accounting_mu_);
+      apply_accounting_.clear();
+    }
+    last_applied_scn_.store(kInvalidScn, std::memory_order_release);
+    applied_high_scn_.store(kInvalidScn, std::memory_order_release);
+    disk_recovered_scn_.store(kInvalidScn, std::memory_order_release);
+    STRATUS_RETURN_IF_ERROR(OpenAndRecover());
   }
-  // Same non-persistent-state discard as Restart(): IMCS, journal, commit
-  // table and any partial transactions' mined records are gone; redo apply
-  // resumes from the surviving ReceivedLogs and re-mines (Section III.E).
-  for (auto& inst : instances_) inst.store->Clear();
-  last_query_scn_.store(kInvalidScn, std::memory_order_release);
   ResetHealthForRestart();
   restarts_.fetch_add(1, std::memory_order_relaxed);
-  crash_restarts_.fetch_add(1, std::memory_order_relaxed);
+  if (mode.crash) crash_restarts_.fetch_add(1, std::memory_order_relaxed);
+  if (mode.from_disk) disk_restarts_.fetch_add(1, std::memory_order_relaxed);
   Start();
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -815,7 +808,7 @@ void StandbyDb::InstallDurableSinks() {
   // reaches the archive's buffer (and, in kEveryBatch mode, the disk) before
   // the merger can dispatch it. Capturing the raw controller keeps the hot
   // path lock-free; the sink is removed before the controller is ever
-  // swapped (DiskRestartInternal), under delivery quiescence.
+  // swapped (a from-disk Restart), under delivery quiescence.
   persist::PersistController* p = persist_.get();
   for (size_t k = 0; k < streams_.size(); ++k) {
     streams_[k]->SetDurableSink(
@@ -826,35 +819,32 @@ void StandbyDb::InstallDurableSinks() {
   }
 }
 
-void StandbyDb::BootPersistence() {
+Status StandbyDb::OpenAndRecover() {
+  // Open the directory exactly as a fresh process would: segment rescan, CRC
+  // verification, torn-tail truncation — an honest cold boot, not a
+  // warm-state shortcut.
   auto controller = std::make_unique<persist::PersistController>(
       options_.persist, streams_.size());
   Status st = controller->Open();
-  if (!st.ok()) {
-    NotePersistError(st);
-    return;  // Boot degrades to the all-RAM behavior; the error is latched.
-  }
-  {
-    std::lock_guard<std::mutex> g(persist_mu_);
-    persist_ = std::move(controller);
-  }
-  if (options_.persist.recover_on_start) {
-    st = RecoverFromDisk();
-    if (!st.ok()) {
-      NotePersistError(st);
+  if (st.ok()) {
+    {
       std::lock_guard<std::mutex> g(persist_mu_);
-      persist_.reset();
-      return;
+      persist_ = std::move(controller);
     }
-    // Anything recovery replayed from the archive must not be re-applied by
-    // the pipeline: rewind each stream to its durable watermark so an
-    // attaching shipper's redelivery dedups against exactly that point.
-    for (size_t k = 0; k < streams_.size(); ++k) {
-      const Scn durable = persist_->DurableScn(k);
-      if (durable != kInvalidScn) streams_[k]->ResetToWatermark(durable);
-    }
+    st = RecoverFromDisk();
   }
+  if (!st.ok()) {
+    std::lock_guard<std::mutex> g(persist_mu_);
+    persist_.reset();
+    return st;
+  }
+  // Anything recovery replayed from the archive must not be re-applied by
+  // the pipeline: rewind each stream to its durable watermark so an
+  // attaching shipper's redelivery dedups against exactly that point.
+  for (size_t k = 0; k < streams_.size(); ++k)
+    streams_[k]->ResetToWatermark(persist_->DurableScn(k));
   InstallDurableSinks();
+  return Status::OK();
 }
 
 Status StandbyDb::RecoverFromDisk() {
@@ -1011,72 +1001,6 @@ Status StandbyDb::TakeCheckpoint() {
     if (!snap.smus.empty())
       STRATUS_RETURN_IF_ERROR(p->WriteImcsSnapshot(&snap));
   }
-  return Status::OK();
-}
-
-Status StandbyDb::DiskRestart() { return DiskRestartInternal(false); }
-
-Status StandbyDb::CrashDiskRestart() { return DiskRestartInternal(true); }
-
-Status StandbyDb::DiskRestartInternal(bool crash) {
-  if (promoted_)
-    return Status::FailedPrecondition("promoted standby no longer applies redo");
-  if (persist_ == nullptr)
-    return Status::FailedPrecondition("persistence not enabled");
-  // PRECONDITION (documented on DiskRestart): no concurrent Deliver — the
-  // caller has stopped every shipper, so removing the tees and swapping the
-  // controller below cannot race the archive hot path.
-  persist_->StopCheckpointThread();
-  for (auto& s : streams_) s->SetDurableSink(nullptr);
-  if (started_) {
-    started_ = false;
-    if (crash) {
-      CrashTearDownPipeline();
-    } else {
-      TearDownPipeline();
-    }
-  }
-
-  // Simulated process death: EVERYTHING volatile goes — row store, txn
-  // table, table segments and identity indexes, IMCS, apply accounting.
-  // Only the catalog stays warm (table creation is a bootstrap call, not
-  // redo; the checkpoint's dictionary restores cold starts).
-  for (auto& inst : instances_) inst.store->Clear();
-  blocks_.Reset();
-  txn_table_.Reset();
-  {
-    std::unique_lock<std::shared_mutex> g(tables_mu_);
-    for (auto& [oid, table] : tables_) table->ResetSegment();
-  }
-  {
-    std::lock_guard<std::mutex> g(accounting_mu_);
-    apply_accounting_.clear();
-  }
-  last_query_scn_.store(kInvalidScn, std::memory_order_release);
-  last_applied_scn_.store(kInvalidScn, std::memory_order_release);
-  applied_high_scn_.store(kInvalidScn, std::memory_order_release);
-  disk_recovered_scn_.store(kInvalidScn, std::memory_order_release);
-
-  // Re-open the directory exactly as a fresh process would: segment rescan,
-  // CRC verification, torn-tail truncation — an honest cold boot, not a
-  // warm-state shortcut.
-  auto controller = std::make_unique<persist::PersistController>(
-      options_.persist, streams_.size());
-  STRATUS_RETURN_IF_ERROR(controller->Open());
-  {
-    std::lock_guard<std::mutex> g(persist_mu_);
-    persist_ = std::move(controller);
-  }
-  STRATUS_RETURN_IF_ERROR(RecoverFromDisk());
-  for (size_t k = 0; k < streams_.size(); ++k)
-    streams_[k]->ResetToWatermark(persist_->DurableScn(k));
-  InstallDurableSinks();
-
-  ResetHealthForRestart();
-  restarts_.fetch_add(1, std::memory_order_relaxed);
-  if (crash) crash_restarts_.fetch_add(1, std::memory_order_relaxed);
-  disk_restarts_.fetch_add(1, std::memory_order_relaxed);
-  Start();
   return Status::OK();
 }
 
@@ -1582,26 +1506,7 @@ void AdgCluster::Start() {
   started_ = true;
   primary_.Start();
   standby_.Start();
-  ShipperOptions shipping = options_.shipping;
-  if (shipping.channel.registry == nullptr) {
-    shipping.channel.registry = registry_;  // Wire latency histograms.
-  }
-  for (int i = 0; i < primary_.redo_threads(); ++i) {
-    shippers_.push_back(std::make_unique<LogShipper>(
-        primary_.redo_log(i), standby_.stream(i), shipping));
-    shippers_.back()->Start();
-  }
-  shipper_metrics_cb_.Attach(registry_, [this](obs::MetricsSink* sink) {
-    const obs::Labels labels{{"role", "transport"}};
-    uint64_t bytes = 0, records = 0;
-    for (const auto& s : shippers_) {
-      bytes += s->bytes_shipped();
-      records += s->records_shipped();
-      s->channel()->ExportMetrics(sink, labels);
-    }
-    sink->Counter("stratus_redo_shipped_bytes", labels, bytes);
-    sink->Counter("stratus_redo_shipped_records", labels, records);
-  });
+  StartShippers();
 
   // The lag monitor reads only progress marks that outlive pipeline restarts
   // (atomics on the primary txn manager, the received streams, and the
@@ -1635,42 +1540,16 @@ void AdgCluster::Stop() {
     lag_monitor_->Stop();
     lag_monitor_.reset();
   }
-  shipper_metrics_cb_.Reset();
-  for (auto& s : shippers_) s->Stop();
-  shippers_.clear();
+  StopShippers();
   standby_.Stop();
   primary_.Stop();
 }
 
-void AdgCluster::SetShippingPaused(bool paused) {
-  for (auto& s : shippers_) s->set_paused(paused);
-}
-
-Status AdgCluster::DiskRestartStandby(bool crash) {
-  if (!started_)
-    return Status::FailedPrecondition("cluster not started");
-  // Hold cursors pin the redo logs' retention across the shipper gap: the
-  // old shippers' ephemeral cursors die with them, and without a survivor a
-  // concurrent Append could trim redo the new shippers still need.
-  std::vector<uint64_t> hold;
-  hold.reserve(static_cast<size_t>(primary_.redo_threads()));
-  for (int i = 0; i < primary_.redo_threads(); ++i)
-    hold.push_back(primary_.redo_log(i)->RegisterCursor(0));
-
-  // Quiesce delivery (DiskRestart's precondition): stop and discard every
-  // shipper. The metrics callback detaches first so no scrape touches a
-  // dying channel.
-  shipper_metrics_cb_.Reset();
-  for (auto& s : shippers_) s->Stop();
-  shippers_.clear();
-
-  Status st = crash ? standby_.CrashDiskRestart() : standby_.DiskRestart();
-
-  // Fresh shippers re-ship from seq 0 even if recovery failed (the standby
-  // must keep receiving); the stream watermarks — rewound to the durable SCN
-  // — drop everything recovery already replayed from the archive.
+void AdgCluster::StartShippers() {
   ShipperOptions shipping = options_.shipping;
-  if (shipping.channel.registry == nullptr) shipping.channel.registry = registry_;
+  if (shipping.channel.registry == nullptr) {
+    shipping.channel.registry = registry_;  // Wire latency histograms.
+  }
   for (int i = 0; i < primary_.redo_threads(); ++i) {
     shippers_.push_back(std::make_unique<LogShipper>(
         primary_.redo_log(i), standby_.stream(i), shipping));
@@ -1687,6 +1566,41 @@ Status AdgCluster::DiskRestartStandby(bool crash) {
     sink->Counter("stratus_redo_shipped_bytes", labels, bytes);
     sink->Counter("stratus_redo_shipped_records", labels, records);
   });
+}
+
+void AdgCluster::StopShippers() {
+  // The metrics callback detaches first so no scrape touches a dying channel.
+  shipper_metrics_cb_.Reset();
+  for (auto& s : shippers_) s->Stop();
+  shippers_.clear();
+}
+
+void AdgCluster::SetShippingPaused(bool paused) {
+  for (auto& s : shippers_) s->set_paused(paused);
+}
+
+Status AdgCluster::RestartStandby(RestartMode mode) {
+  if (!started_)
+    return Status::FailedPrecondition("cluster not started");
+  // An in-memory restart keeps shipping live: the received streams (queues
+  // and watermarks) survive it, and the rebuilt pipeline resumes from them.
+  if (!mode.from_disk) return standby_.Restart(mode);
+
+  // Hold cursors pin the redo logs' retention across the shipper gap: the
+  // old shippers' ephemeral cursors die with them, and without a survivor a
+  // concurrent Append could trim redo the new shippers still need.
+  std::vector<uint64_t> hold;
+  hold.reserve(static_cast<size_t>(primary_.redo_threads()));
+  for (int i = 0; i < primary_.redo_threads(); ++i)
+    hold.push_back(primary_.redo_log(i)->RegisterCursor(0));
+
+  // Quiesce delivery (the from-disk precondition) for the controller swap.
+  StopShippers();
+  const Status st = standby_.Restart(mode);
+  // Fresh shippers re-ship from seq 0 even if recovery failed (the standby
+  // must keep receiving); the stream watermarks — rewound to the durable SCN
+  // — drop everything recovery already replayed from the archive.
+  StartShippers();
   for (int i = 0; i < primary_.redo_threads(); ++i)
     primary_.redo_log(i)->UnregisterCursor(hold[static_cast<size_t>(i)]);
   return st;

@@ -251,6 +251,21 @@ class PrimaryDb {
   friend class AdgCluster;
 };
 
+/// How StandbyDb::Restart brings a standby back (Section III.E; the mode
+/// table is DESIGN.md §13.6). Every mode discards the non-persistent state —
+/// the IMCS, the IM-ADG Journal and Commit Table, the published QuerySCN —
+/// and rebuilds the pipeline over the redo that survived.
+struct RestartMode {
+  /// A CrashSignal killed pipeline threads: crash-safe teardown (abandon any
+  /// in-progress QuerySCN advancement, drain worker queues into the row store
+  /// unmined) and no final archive sync, so an unsynced tail stays torn.
+  bool crash = false;
+  /// Simulated process death: the row store, txn table, table segments and
+  /// apply accounting go too, then the data directory is reopened and
+  /// recovered as on first boot. Requires persistence.
+  bool from_disk = false;
+};
+
 /// The standby database: physical replica maintained by parallel redo apply,
 /// hosting the DBIM-on-ADG infrastructure and (optionally) a RAC-distributed
 /// IMCS across several instances.
@@ -270,17 +285,17 @@ class StandbyDb : public ApplySink {
   /// Stops everything, retaining physical state (block store, txn table) and
   /// unconsumed received redo.
   void Stop();
-  /// The Section III.E scenario: instance restart. All non-persistent state —
-  /// the IMCS, the IM-ADG Journal and Commit Table — is lost; redo apply
-  /// resumes from the last consistent point.
-  void Restart();
-  /// Restart after a CrashSignal killed one or more pipeline threads: tears
-  /// the pipeline down with the crash-safe sequence (wake-then-join, abandon
-  /// any in-progress QuerySCN advancement, drain crashed workers' queues into
-  /// the row store so no change vector is lost), discards all non-persistent
-  /// state exactly as Restart() does, and rebuilds a fresh pipeline over the
-  /// surviving ReceivedLogs.
-  void CrashRestart();
+  /// Instance restart in `mode`; redo apply resumes from the last consistent
+  /// point. A from-disk restart recovers as first boot does (checkpoint,
+  /// IMCS snapshot, archived redo tail) and rewinds each stream to its
+  /// durable watermark, so a rejoining shipper's redelivery dedups against
+  /// exactly what recovery replayed. FailedPrecondition on a promoted
+  /// database, or for from_disk without persistence; a failed recovery is
+  /// returned with the pipeline left down.
+  ///
+  /// PRECONDITION for from_disk: delivery is quiescent — every shipper
+  /// feeding `stream(i)` is stopped (the cluster RestartStandby calls do it).
+  Status Restart(RestartMode mode = {});
 
   // --- Durability (persist/ subsystem) ---------------------------------------
   /// Takes one fuzzy checkpoint: captures the dictionary, every data block's
@@ -290,36 +305,22 @@ class StandbyDb : public ApplySink {
   /// QuerySCN at capture begin. Also runs on the background cadence when
   /// `PersistOptions::checkpoint_interval_us` is set.
   Status TakeCheckpoint();
-  /// Full disk restart: simulates process death (ALL volatile state is
-  /// discarded — row store, txn table, table segments, IMCS, apply
-  /// accounting), then re-opens the data directory exactly as a fresh boot
-  /// would (segment rescan, CRC verification, torn-tail truncation), restores
-  /// the last checkpoint, resumes the IMCS from its snapshot SCN, replays the
-  /// archived redo tail, and rebuilds the pipeline.
-  ///
-  /// PRECONDITION: delivery is quiescent — callers stop every shipper feeding
-  /// `stream(i)` first (AdgCluster::DiskRestartStandby and the fleet's disk
-  /// restart do). Each stream is rewound to its durable watermark so the
-  /// rejoining shipper redelivers exactly the redo recovery did not replay.
-  Status DiskRestart();
-  /// DiskRestart over the crash-safe teardown (post-CrashSignal pipelines).
-  Status CrashDiskRestart();
   /// Durable (fsynced) archive watermark of stream `i`; kInvalidScn when
   /// persistence is off. The fleet's durable-floor cursor gate reads this.
   Scn DurableScn(size_t stream) const;
-  /// Non-null between a successful persistence boot and destruction (swapped
-  /// during DiskRestart; callers touching it must hold delivery quiescent).
+  /// Non-null after a successful boot recovery (swapped by a from-disk
+  /// Restart; callers touching it must hold delivery quiescent).
   persist::PersistController* persist() { return persist_.get(); }
   bool persist_enabled() const { return options_.persist.enabled; }
   /// Construction-time options (immutable; safe from any thread).
   const DatabaseOptions& options() const { return options_; }
   /// Point-in-time persist counters (zeroed struct when persistence is off);
-  /// safe to call from any thread, including during a concurrent DiskRestart.
+  /// safe to call from any thread, including during a concurrent Restart.
   persist::PersistStats PersistStatsSnapshot() const;
   /// First error the durability layer latched (archive tee, boot, recovery);
   /// OK while healthy.
   Status persist_status() const;
-  /// Result of the last boot/disk-restart recovery pass.
+  /// Result of the last boot/from-disk-restart recovery pass.
   persist::RecoveryResult last_recovery() const;
   uint64_t disk_restarts() const {
     return disk_restarts_.load(std::memory_order_relaxed);
@@ -476,9 +477,12 @@ class StandbyDb : public ApplySink {
   };
 
   void BuildPipeline();
-  void TearDownPipeline();
-  /// TearDownPipeline's crash-safe variant (see CrashRestart()).
-  void CrashTearDownPipeline();
+  /// `crash` selects CrashStop over Stop on the apply engine(s) and the MIRA
+  /// coordinator.
+  void TearDownPipeline(bool crash);
+  /// The shutdown step Stop() and Restart() share: stop the checkpoint
+  /// thread, sync the archive unless `crash`, tear the pipeline down.
+  void Shutdown(bool crash);
   void EnableConfiguredObjects();
   /// Common tail of every data-CV apply: accounting, chaos error injection,
   /// and quarantine of the affected IMCUs on any non-OK status.
@@ -492,16 +496,16 @@ class StandbyDb : public ApplySink {
   void ExportPipelineMetrics(obs::MetricsSink* sink) const;
   Table* FindOrNullTable(ObjectId object) const;
   void ApplyDdlDictionary(const DdlMarker& marker, Scn scn);
-  /// First-Start persistence bootstrap: opens the data directory, runs
-  /// recovery (if configured), rewinds streams, installs the archive tees.
-  void BootPersistence();
+  /// First boot and from-disk Restart: opens the data directory with a fresh
+  /// controller, recovers, rewinds every stream to its durable watermark and
+  /// installs the archive tees. On error persist_ is left null.
+  Status OpenAndRecover();
   /// Loads the latest checkpoint + IMCS snapshot and replays archived redo
   /// through a RecoveryManager wired to this database's dictionary/index/
   /// accounting hooks. Sets the apply marks and disk_recovered_scn_.
   Status RecoverFromDisk();
   /// Tees every stream's Deliver into the redo archive (archive-first).
   void InstallDurableSinks();
-  Status DiskRestartInternal(bool crash);
   void NotePersistError(const Status& st);
 
   DatabaseOptions options_;
@@ -564,8 +568,8 @@ class StandbyDb : public ApplySink {
   std::atomic<uint64_t> crash_restarts_{0};
   std::atomic<uint64_t> disk_restarts_{0};
 
-  // Durability. The controller pointer is swapped during DiskRestart (a fresh
-  // open models a fresh process); persist_mu_ guards the swap against
+  // Durability. The controller pointer is swapped by a from-disk Restart (a
+  // fresh open models a fresh process); persist_mu_ guards the swap against
   // concurrent metric scrapes. The archive tee captures the raw pointer and
   // is removed before any swap, so the hot path takes no lock.
   mutable std::mutex persist_mu_;
@@ -655,16 +659,17 @@ class AdgCluster {
   /// accumulates while paused; Stop() still drains).
   void SetShippingPaused(bool paused);
 
-  /// Kills the standby down to its data directory and recovers it from disk
-  /// (StandbyDb::DiskRestart, `crash` selects the crash-safe teardown). This
-  /// is the cluster-level orchestration that satisfies DiskRestart's
-  /// delivery-quiescence precondition: temporary hold cursors pin the redo
-  /// log's retention, the shippers stop and are discarded, the standby
-  /// recovers, and fresh shippers redeliver the tail — which the rewound
-  /// stream watermarks dedup against what recovery already replayed.
-  Status DiskRestartStandby(bool crash = false);
+  /// Restarts the standby in `mode` (StandbyDb::Restart). An in-memory
+  /// restart keeps shipping live. A from-disk restart first quiesces
+  /// delivery: hold cursors pin the redo logs' retention, the shippers stop,
+  /// the standby recovers, and fresh shippers redeliver the tail, which the
+  /// rewound stream watermarks dedup against what recovery replayed.
+  Status RestartStandby(RestartMode mode = {});
 
  private:
+  void StartShippers();
+  void StopShippers();
+
   DatabaseOptions options_;
   PrimaryDb primary_;
   StandbyDb standby_;

@@ -116,7 +116,7 @@ struct VPersistRow {
   Scn snapshot_scn = kInvalidScn;
   Scn recovered_scn = kInvalidScn;
 
-  /// Last recovery breakdown (all zero until the first DiskRestart/boot
+  /// Last recovery breakdown (all zero until the first from-disk restart/boot
   /// recovery actually ran).
   bool ckpt_loaded = false;
   bool snap_loaded = false;

@@ -264,32 +264,22 @@ void FleetCluster::StopStandby(int i) {
   n->db()->Stop();
 }
 
-void FleetCluster::RestartStandby(int i) {
+Status FleetCluster::RestartStandby(int i, RestartMode mode) {
+  if (!started_) return Status::FailedPrecondition("fleet not started");
   StandbyNode* n = node(i);
+  n->set_accepting(false);
+  // Quiesce delivery before the database restarts: the durable-sink tee and
+  // the cursor_note callback both run on shipper threads and must not observe
+  // a from-disk controller swap, and the fresh shippers below must be the
+  // only ones on the node's streams and cursors.
+  StopShippers(n);
   // The old shippers' channel Stop closed the receive streams; reopen them
   // before the rebuilt pipeline attaches so the merger sees live streams.
   for (int t = 0; t < primary_.redo_threads(); ++t)
     n->db()->stream(static_cast<size_t>(t))->Reopen();
-  n->db()->Restart();
-  StartShippers(n);
-  n->set_accepting(true);
-}
-
-Status FleetCluster::DiskRestartStandby(int i, bool crash) {
-  StandbyNode* n = node(i);
-  if (!started_) return Status::FailedPrecondition("fleet not started");
-  if (!n->db()->persist_enabled())
-    return Status::FailedPrecondition("node " + n->name() +
-                                      " has no persistence configured");
-  n->set_accepting(false);
-  // Quiesce delivery before the database touches its persist state: the
-  // durable-sink tee and the cursor_note callback both run on shipper
-  // threads and must not observe the controller swap. The node's fleet
-  // cursors stay registered, pinning redo past its durable floor.
-  StopShippers(n);
-  Status st = crash ? n->db()->CrashDiskRestart() : n->db()->DiskRestart();
-  // Reattach shippers either way — a failed recovery leaves the node best-
-  // effort restarted and the caller decides; redo keeps flowing meanwhile.
+  const Status st = n->db()->Restart(mode);
+  // Reattach shippers either way — a failed recovery leaves the node out of
+  // routing and the caller decides; redo keeps flowing meanwhile.
   StartShippers(n);
   n->set_accepting(st.ok());
   return st;

@@ -160,19 +160,13 @@ class FleetCluster {
   /// shippers (the node's redo cursors stay registered, so the primary
   /// retains everything the node has not been shipped), stops the database.
   void StopStandby(int i);
-  /// Brings a stopped node back: reopens its receive streams, restarts the
-  /// database (IMCS and IM-ADG state rebuilt from scratch), and attaches
-  /// fresh shippers that resume from the node's persistent cursors.
-  void RestartStandby(int i);
-  /// Durable restart of node `i` (requires the node's persistence enabled):
-  /// stops accepting and stops the shippers (the node's fleet cursors stay
-  /// registered, pinning undelivered redo), tears the database down
-  /// (crash = no final archive sync, exercising torn-tail truncation),
-  /// recovers it from its data directory, and reattaches shippers. The
-  /// shippers resume from the fleet cursors and the node's receive streams
-  /// are rewound to the persisted durable watermark, so the overlap window
-  /// is redelivered and deduplicated — never lost, never double-applied.
-  Status DiskRestartStandby(int i, bool crash = false);
+  /// Restarts node `i` in `mode` (StandbyDb::Restart), running or stopped:
+  /// stops accepting, stops its shippers (the node's fleet cursors stay
+  /// registered, pinning undelivered redo), reopens its receive streams,
+  /// restarts the database, and attaches fresh shippers resuming from the
+  /// cursors — redelivery dedups against the stream watermarks, so no redo
+  /// is lost or double-applied. Accepting again only if the restart succeeded.
+  Status RestartStandby(int i, RestartMode mode = {});
 
   obs::MetricsRegistry* registry() const { return registry_; }
   std::string MetricsText() const { return registry_->ExportText(); }

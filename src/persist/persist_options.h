@@ -52,8 +52,6 @@ struct PersistOptions {
   /// Serialize IMCU/SMU state with each checkpoint so restart resumes
   /// population from the snapshot SCN instead of rebuilding from scratch.
   bool snapshot_imcs = true;
-  /// Run recovery from <data_dir> on the first Start() of this instance.
-  bool recover_on_start = true;
   /// Recycle archive segments wholly covered by checkpoint progress.
   bool recycle_segments = true;
   DiskFaultOptions faults;

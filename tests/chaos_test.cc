@@ -260,7 +260,7 @@ TEST(ChaosTest, PartialTransactionJournalDiscardedOnCrashRestart) {
     ASSERT_TRUE(chaos.WaitForFire(10'000'000));
     chaos.Disarm();
   }
-  standby->CrashRestart();
+  ASSERT_TRUE(standby->Restart({.crash = true}).ok());
   EXPECT_EQ(standby->crash_restarts(), 1u);
   cluster.WaitForCatchup();
   ASSERT_TRUE(standby->PopulateNow(table).ok());

@@ -138,6 +138,33 @@ TEST_F(FailoverTest, DoublePromotionRejected) {
   EXPECT_EQ(standby->Promote().code(), Code::kFailedPrecondition);
 }
 
+TEST_F(FailoverTest, RestartRejectedAfterPromotionInEveryMode) {
+  StandbyDb* standby = cluster_.standby();
+  ASSERT_TRUE(standby->Promote().ok());
+  const uint64_t before = Count(standby);
+  for (const RestartMode mode :
+       {RestartMode{}, RestartMode{.crash = true},
+        RestartMode{.from_disk = true},
+        RestartMode{.crash = true, .from_disk = true}}) {
+    EXPECT_EQ(standby->Restart(mode).code(), Code::kFailedPrecondition)
+        << "crash=" << mode.crash << " from_disk=" << mode.from_disk;
+    EXPECT_EQ(cluster_.RestartStandby(mode).code(), Code::kFailedPrecondition)
+        << "crash=" << mode.crash << " from_disk=" << mode.from_disk;
+  }
+  EXPECT_EQ(standby->restarts(), 0u);
+
+  // The promoted database is untouched and still commits.
+  Transaction txn = standby->Begin();
+  ASSERT_TRUE(standby
+                  ->Insert(&txn, table_,
+                           Row{Value(int64_t{999'002}), Value(int64_t{1}),
+                               Value(std::string("after-restart-attempts"))},
+                           nullptr)
+                  .ok());
+  ASSERT_TRUE(standby->Commit(&txn).ok());
+  EXPECT_EQ(Count(standby), before + 1);
+}
+
 TEST_F(FailoverTest, SnapshotIsolationSurvivesPromotion) {
   StandbyDb* standby = cluster_.standby();
   ASSERT_TRUE(standby->Promote().ok());

@@ -6,6 +6,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -231,6 +233,52 @@ TEST_F(FleetRouterTest, DrainsStoppedNodeAndServesFromRest) {
   EXPECT_GT(fleet_->node(1)->served(), served_before)
       << "rejoined standby got no traffic";
   EXPECT_EQ(router.stats().freshness_violations, 0u);
+}
+
+// A restart of a node that was never stopped, under a live writer: its
+// shippers are replaced rather than joined by a second set on the same
+// streams and cursors, and the node converges to exactly the primary's rows.
+TEST_F(FleetRouterTest, RestartOfRunningNodeReplacesItsShippers) {
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    for (int64_t from = 100'000; !stop.load(std::memory_order_acquire);
+         from += 8) {
+      InsertRows(from, 8);
+      std::this_thread::sleep_for(std::chrono::microseconds(300));
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const Status st = fleet_->RestartStandby(1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  stop.store(true, std::memory_order_release);
+  writer.join();
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_TRUE(fleet_->node(1)->accepting());
+
+  // Exactly one frames_sent series per (node, redo thread).
+  const std::string text = fleet_->MetricsText();
+  for (int i = 0; i < fleet_->num_standbys(); ++i) {
+    for (int t = 0; t < fleet_->primary()->redo_threads(); ++t) {
+      const std::string series =
+          "stratus_net_frames_sent{channel=\"redo-" + std::to_string(t) +
+          "\",role=\"transport\",standby=\"sb" + std::to_string(i) + "\"}";
+      int found = 0;
+      for (size_t pos = text.find(series); pos != std::string::npos;
+           pos = text.find(series, pos + 1))
+        ++found;
+      EXPECT_EQ(found, 1) << series;
+    }
+  }
+
+  ASSERT_NE(fleet_->WaitForNodeCatchup(1), kInvalidScn);
+  ScanQuery q;
+  q.object = table_;
+  q.agg = AggKind::kCount;
+  const auto on_primary = fleet_->primary()->Query(q);
+  const auto on_node = fleet_->node(1)->db()->Query(q);
+  ASSERT_TRUE(on_primary.ok()) << on_primary.status().ToString();
+  ASSERT_TRUE(on_node.ok()) << on_node.status().ToString();
+  EXPECT_EQ(on_node->count, on_primary->count);
 }
 
 TEST_F(FleetRouterTest, NoCandidateWhenEveryStandbyDown) {

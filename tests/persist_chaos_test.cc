@@ -2,7 +2,7 @@
 // crash-point cycles as chaos_matrix_test, but every fired crash is followed
 // by a kill-and-recover-FROM-DISK cycle (crash teardown, archived-redo
 // replay over the last fuzzy checkpoint, IMCS snapshot resume) instead of
-// the in-memory CrashRestart. The I1-I7 auditor certifies the recovered
+// the in-memory crash restart. The I1-I7 auditor certifies the recovered
 // state equals pre-crash state, and the QuerySCN floor carried across
 // cycles proves a disk restart never regresses the published snapshot.
 

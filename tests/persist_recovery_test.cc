@@ -75,7 +75,7 @@ TEST(PersistRecoveryTest, DiskRestartRecoversRowsFromCheckpointAndArchive) {
   const Scn scn_before = cluster.standby()->published_query_scn();
   ASSERT_NE(scn_before, kInvalidScn);
 
-  ASSERT_TRUE(cluster.DiskRestartStandby().ok());
+  ASSERT_TRUE(cluster.RestartStandby({.from_disk = true}).ok());
   EXPECT_EQ(cluster.standby()->disk_restarts(), 1u);
   const persist::RecoveryResult recovery = cluster.standby()->last_recovery();
   EXPECT_TRUE(recovery.checkpoint_loaded);
@@ -109,7 +109,8 @@ TEST(PersistRecoveryTest, CrashDiskRestartRecoversWithoutCleanShutdown) {
 
   // Crash teardown: no final SyncAll, threads detached hard. With
   // fsync-per-batch everything delivered is already on disk.
-  ASSERT_TRUE(cluster.DiskRestartStandby(/*crash=*/true).ok());
+  ASSERT_TRUE(
+      cluster.RestartStandby({.crash = true, .from_disk = true}).ok());
   EXPECT_EQ(cluster.standby()->disk_restarts(), 1u);
   EXPECT_EQ(cluster.standby()->crash_restarts(), 1u);
 
@@ -135,7 +136,7 @@ TEST(PersistRecoveryTest, SnapshotResumeSeedsImcsCoverage) {
   ASSERT_GT(ready_before, 0u);
   ASSERT_TRUE(cluster.standby()->TakeCheckpoint().ok());
 
-  ASSERT_TRUE(cluster.DiskRestartStandby().ok());
+  ASSERT_TRUE(cluster.RestartStandby({.from_disk = true}).ok());
   const persist::RecoveryResult recovery = cluster.standby()->last_recovery();
   EXPECT_TRUE(recovery.snapshot_loaded);
   EXPECT_GT(recovery.restored_smus, 0u);
@@ -178,7 +179,8 @@ TEST(PersistRecoveryTest, QueryScnNeverRegressesAcrossRepeatedCrashes) {
     if (floor != kInvalidScn) EXPECT_GE(before, floor);
     floor = before;
 
-    ASSERT_TRUE(cluster.DiskRestartStandby(/*crash=*/cycle % 2 == 1).ok());
+    ASSERT_TRUE(cluster.RestartStandby(
+        {.crash = cycle % 2 == 1, .from_disk = true}).ok());
     Load(&cluster, table, &next_id, 4);
     const Scn after = cluster.standby()->WaitForQueryScn(floor, 30'000'000);
     ASSERT_GE(after, floor) << "cycle " << cycle;
@@ -226,7 +228,7 @@ TEST(PersistRecoveryTest, PersistViewReportsDurabilityState) {
   EXPECT_GT(live.fsyncs, 0u);
   EXPECT_GE(live.checkpoints, 1u);
 
-  ASSERT_TRUE(cluster.DiskRestartStandby().ok());
+  ASSERT_TRUE(cluster.RestartStandby({.from_disk = true}).ok());
 
   // The rebuilt controller reports disk truth: the archive scan restores the
   // record count and the meta seqs restore the checkpoint count. Only the
@@ -291,7 +293,8 @@ TEST(PersistRecoveryTest, FleetNodeDiskRestartRedeliversFromDiskTruth) {
   EXPECT_GT(fleet.node(0)->db()->persist()->CursorSeq(0), 0u);
 
   const Scn scn_before = fleet.node(0)->db()->published_query_scn();
-  ASSERT_TRUE(fleet.DiskRestartStandby(0, /*crash=*/true).ok());
+  ASSERT_TRUE(
+      fleet.RestartStandby(0, {.crash = true, .from_disk = true}).ok());
   EXPECT_TRUE(fleet.node(0)->accepting());
 
   // The restarted node catches back up from its archive + redelivery; the

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdlib>
+#include <string>
+#include <thread>
+
+#include "common/clock.h"
 #include "db/database.h"
 
 namespace stratus {
@@ -188,6 +195,113 @@ TEST(RestartTest, WithoutSpecializedRedoEveryStraddlerIsPessimistic) {
   // Pessimistic: even a non-IM transaction coarse-invalidates.
   EXPECT_GE(cluster.standby()->im_store()->Stats().coarse_invalidations, 1u);
 }
+
+// --- One restart entry point, four modes --------------------------------------
+
+std::string MakeTempDir() {
+  std::string tmpl = testing::TempDir() + "stratus_restart_XXXXXX";
+  EXPECT_NE(::mkdtemp(tmpl.data()), nullptr);
+  return tmpl;
+}
+
+bool WaitForCheckpoints(StandbyDb* standby, uint64_t n, int64_t timeout_us) {
+  const uint64_t deadline = NowMicros() + static_cast<uint64_t>(timeout_us);
+  while (standby->PersistStatsSnapshot().checkpoints < n) {
+    if (NowMicros() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  return true;
+}
+
+class RestartModeTest : public ::testing::TestWithParam<RestartMode> {};
+
+// Every mode through the one cluster entry point, with the background
+// checkpoint thread running and a writer committing throughout: the counters
+// move as the RestartMode table says, durability and health stay clean, the
+// standby answers exactly as the primary's flashback read at the standby's
+// QuerySCN, every row was applied exactly once, and checkpoints resume.
+TEST_P(RestartModeTest, RestartsUnderWriterWithBackgroundCheckpoints) {
+  const RestartMode mode = GetParam();
+  DatabaseOptions options = RestartOptions(true);
+  options.apply_accounting = true;
+  options.persist.enabled = true;
+  options.persist.data_dir = MakeTempDir();
+  options.persist.checkpoint_interval_us = 500;
+  AdgCluster cluster(options);
+  cluster.Start();
+  StandbyDb* standby = cluster.standby();
+  const ObjectId table =
+      cluster.CreateTable("t", kDefaultTenant, Schema::WideTable(1, 1),
+                          ImService::kStandbyOnly, true)
+          .value();
+  int64_t next_id = 0;
+  Load(&cluster, table, &next_id, 4 * kRowsPerBlock);
+  cluster.WaitForCatchup();
+  ASSERT_TRUE(standby->PopulateNow(table).ok());
+  ASSERT_TRUE(WaitForCheckpoints(standby, 2, 10'000'000));
+
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      Load(&cluster, table, &next_id, 8);
+      std::this_thread::sleep_for(std::chrono::microseconds(300));
+    }
+  });
+  for (int i = 0; i < 3; ++i) {
+    const Status st = cluster.RestartStandby(mode);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  stop.store(true, std::memory_order_release);
+  writer.join();
+
+  EXPECT_EQ(standby->restarts(), 3u);
+  EXPECT_EQ(standby->crash_restarts(), mode.crash ? 3u : 0u);
+  EXPECT_EQ(standby->disk_restarts(), mode.from_disk ? 3u : 0u);
+  EXPECT_TRUE(standby->persist_status().ok())
+      << standby->persist_status().ToString();
+  EXPECT_FALSE(standby->degraded());
+
+  ASSERT_NE(cluster.WaitForCatchup(), kInvalidScn);
+  const Scn scn = standby->query_scn();
+  ScanQuery q;
+  q.object = table;
+  q.aggregates = {{AggKind::kCount, 0}, {AggKind::kSum, 0}};
+  const auto on_standby = standby->QueryAt(q, scn);
+  const auto on_primary = cluster.primary()->QueryAt(q, scn);
+  ASSERT_TRUE(on_standby.ok()) << on_standby.status().ToString();
+  ASSERT_TRUE(on_primary.ok()) << on_primary.status().ToString();
+  ASSERT_EQ(on_standby->rows.size(), 1u);
+  EXPECT_EQ(on_standby->rows, on_primary->rows);
+  const int64_t rows = next_id;  // Ids 0..rows-1, each inserted once.
+  EXPECT_EQ(on_standby->rows[0][0].as_int(), rows);
+  EXPECT_EQ(on_standby->rows[0][1].as_int(), rows * (rows - 1) / 2);
+
+  const auto applies = standby->ApplyAccountingSnapshot();
+  EXPECT_EQ(applies.size(), static_cast<size_t>(rows));
+  size_t not_once = 0;
+  for (const auto& [key, count] : applies) {
+    if (count != 1) ++not_once;
+  }
+  EXPECT_EQ(not_once, 0u) << "rows applied other than exactly once";
+
+  // The restarts restarted the checkpoint thread too.
+  const uint64_t checkpoints = standby->PersistStatsSnapshot().checkpoints;
+  EXPECT_TRUE(WaitForCheckpoints(standby, checkpoints + 1, 10'000'000));
+  cluster.Stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, RestartModeTest,
+    ::testing::Values(RestartMode{}, RestartMode{.crash = true},
+                      RestartMode{.from_disk = true},
+                      RestartMode{.crash = true, .from_disk = true}),
+    [](const ::testing::TestParamInfo<RestartMode>& info) -> std::string {
+      const RestartMode& m = info.param;
+      if (m.crash && m.from_disk) return "CrashFromDisk";
+      if (m.crash) return "Crash";
+      return m.from_disk ? "FromDisk" : "Clean";
+    });
 
 }  // namespace
 }  // namespace stratus
