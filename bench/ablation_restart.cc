@@ -100,7 +100,7 @@ Outcome RunOnce(bool specialized_redo, bool straddler_touches_im) {
     ScanQuery q;
     q.object = im_table;
     q.predicates = {{1, PredOp::kEq, Value(int64_t{7})}};
-    q.agg = AggKind::kCount;
+    q.aggregates = {{AggKind::kCount, 0}};
     Stopwatch watch;
     (void)cluster.standby()->Query(q);
     return static_cast<double>(watch.ElapsedNanos()) / 1e6;
@@ -173,7 +173,7 @@ RestartOutcome RunDiskRestart(bool snapshot_resume, size_t rows) {
   ScanQuery q;
   q.object = im_table;
   q.predicates = {{1, PredOp::kEq, Value(int64_t{7})}};
-  q.agg = AggKind::kCount;
+  q.aggregates = {{AggKind::kCount, 0}};
   const auto result = cluster.standby()->Query(q);
   out.ready_ms = static_cast<double>(watch.ElapsedNanos()) / 1e6;
   if (result.ok()) out.rows_from_imcs = result->stats.rows_from_imcs;

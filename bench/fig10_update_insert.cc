@@ -51,7 +51,7 @@ RunOutcome RunOnce(bool imadg_enabled) {
   }
   ScanQuery count;
   count.object = workload.table_id();
-  count.agg = AggKind::kCount;
+  count.aggregates = {{AggKind::kCount, 0}};
   auto result = cluster.standby()->Query(count);
   if (result.ok()) out.final_rows = result->count;
   if (imadg_enabled) DumpMetricsJson(cluster, "fig10_update_insert");

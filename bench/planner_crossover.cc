@@ -100,8 +100,7 @@ int main() {
         static_cast<double>(updated) / static_cast<double>(rows);
     ScanQuery q;
     q.object = workload.table_id();
-    q.agg = AggKind::kSum;
-    q.agg_column = 1;
+    q.aggregates = {{AggKind::kSum, 1}};
     q.dop = dop;
     for (int i = 0; i < 3; ++i) (void)cluster.standby()->Query(q);  // Warm up.
     for (int i = 0; i < reps; ++i) {

@@ -74,8 +74,7 @@ std::vector<DopPoint> RunDopSweep() {
 
   ScanQuery q;
   q.object = workload.table_id();
-  q.agg = AggKind::kSum;
-  q.agg_column = 1;
+  q.aggregates = {{AggKind::kSum, 1}};
   const int reps = static_cast<int>(EnvInt("STRATUS_DOP_REPS", 40));
   std::vector<DopPoint> points;
   for (const uint32_t dop : {1u, 2u, 4u, 8u}) {

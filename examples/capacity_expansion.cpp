@@ -101,13 +101,12 @@ int main() {
   uint64_t year_total = 0;
   uint64_t t0 = NowNanos();
   for (int m = 0; m < kMonths; ++m) {
-    JoinQuery join;
-    join.left = sales[m];
-    join.right = products;
-    join.left_column = 1;   // product_id.
-    join.right_column = 0;  // product_id.
-    join.right_predicates = {{1, PredOp::kEq, Value(std::string("cat3"))}};
-    auto result = cluster.standby()->Join(join);
+    MultiJoinQuery join;
+    join.fact = sales[m];
+    // sales.product_id = products.product_id AND category = 'cat3'.
+    join.joins = {JoinEdge{products, 1, 0,
+                           {{1, PredOp::kEq, Value(std::string("cat3"))}}}};
+    auto result = cluster.standby()->MultiJoin(join);
     if (result.ok()) year_total += result->count;
   }
   std::printf("  matched %llu sales across 12 partitions in %.2f ms\n",
@@ -118,8 +117,7 @@ int main() {
   std::printf("\nCurrent-month report on the PRIMARY:\n");
   ScanQuery current;
   current.object = sales[kMonths - 1];
-  current.agg = AggKind::kSum;
-  current.agg_column = 2;
+  current.aggregates = {{AggKind::kSum, 2}};
   t0 = NowNanos();
   auto result = cluster.primary()->Query(current);
   std::printf("  SUM(amount) December = %lld in %.2f ms (%llu rows from IMCS)\n",
@@ -132,8 +130,7 @@ int main() {
   // the same query there runs the row path on the primary, IMCS on standby.
   ScanQuery jan;
   jan.object = sales[0];
-  jan.agg = AggKind::kSum;
-  jan.agg_column = 2;
+  jan.aggregates = {{AggKind::kSum, 2}};
   auto pri_jan = cluster.primary()->Query(jan);
   auto stb_jan = cluster.standby()->Query(jan);
   if (pri_jan.ok() && stb_jan.ok()) {

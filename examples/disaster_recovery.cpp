@@ -20,7 +20,7 @@ double TimeQ1Ms(StandbyDb* standby, ObjectId table, uint64_t* from_imcs) {
   ScanQuery q;
   q.object = table;
   q.predicates = {{1, PredOp::kEq, Value(int64_t{7})}};
-  q.agg = AggKind::kCount;
+  q.aggregates = {{AggKind::kCount, 0}};
   const uint64_t t0 = NowNanos();
   auto result = standby->Query(q);
   if (from_imcs != nullptr)
@@ -115,7 +115,7 @@ int main() {
   ScanQuery q;
   q.object = accounts;
   q.predicates = {{6, PredOp::kEq, Value(std::string("dirty"))}};
-  q.agg = AggKind::kCount;
+  q.aggregates = {{AggKind::kCount, 0}};
   auto result = cluster.standby()->Query(q);
   std::printf("[t8] Rows with the straddling transaction's value: %llu (expected 1)\n",
               static_cast<unsigned long long>(result.ok() ? result->count : 0));
@@ -134,7 +134,7 @@ int main() {
   ScanQuery post;
   post.object = accounts;
   post.predicates = {{6, PredOp::kEq, Value(std::string("new-era"))}};
-  post.agg = AggKind::kCount;
+  post.aggregates = {{AggKind::kCount, 0}};
   auto promoted = cluster.standby()->Query(post);
   std::printf("[t10] Write on the promoted database visible: %llu row(s). "
               "Business continues.\n",

@@ -37,7 +37,7 @@ ObjectId MakeTenantTable(AdgCluster* cluster, TenantId tenant, const char* name)
 uint64_t ImcsRows(StandbyDb* standby, ObjectId table) {
   ScanQuery q;
   q.object = table;
-  q.agg = AggKind::kCount;
+  q.aggregates = {{AggKind::kCount, 0}};
   auto result = standby->Query(q);
   return result.ok() ? result->stats.rows_from_imcs : 0;
 }
@@ -112,10 +112,10 @@ int main() {
   ScanQuery qa;
   qa.object = table_a;
   qa.predicates = {{1, PredOp::kEq, Value(int64_t{777})}};
-  qa.agg = AggKind::kCount;
+  qa.aggregates = {{AggKind::kCount, 0}};
   ScanQuery qb;
   qb.object = table_b;
-  qb.agg = AggKind::kCount;
+  qb.aggregates = {{AggKind::kCount, 0}};
   auto ra = cluster.standby()->Query(qa);
   auto rb = cluster.standby()->Query(qb);
   std::printf("\nCorrectness: tenant A updated rows = %llu (expected 100), "

@@ -59,8 +59,7 @@ int main() {
   ScanQuery q;
   q.object = orders;
   q.predicates = {{2, PredOp::kEq, Value(std::string("emea"))}};
-  q.agg = AggKind::kSum;
-  q.agg_column = 1;
+  q.aggregates = {{AggKind::kSum, 1}};
 
   uint64_t t0 = NowNanos();
   auto imcs = cluster.standby()->Query(q);
@@ -99,7 +98,7 @@ int main() {
   ScanQuery fresh;
   fresh.object = orders;
   fresh.predicates = {{1, PredOp::kEq, Value(int64_t{999'999})}};
-  fresh.agg = AggKind::kCount;
+  fresh.aggregates = {{AggKind::kCount, 0}};
   auto result = cluster.standby()->Query(fresh);
   std::printf("Standby sees %llu updated rows (expected 200); "
               "%llu invalidation records were flushed to SMUs.\n",

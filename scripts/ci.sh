@@ -46,9 +46,17 @@
 #           reference path) and once with runtime dispatch (SWAR or AVX2).
 #           ASan+UBSan guard the packed-word tail reads, the shift
 #           extraction, and the unsigned code-translation arithmetic.
+#   perfbench : benchmark build + smoke — `python3 perfbench/smoke.py` builds
+#           perfbench/ (its own CMake package over src/, into .bench_build/)
+#           and runs every workload for one second plus one traced run:
+#           every declared metric prints with its unit, the result oracle
+#           runs clean, no operation fails. No other stage compiles
+#           perfbench/harness/adapter.cc, the benchmark's one caller of the
+#           query and cluster API, so an API change that breaks it fails only
+#           here.
 #
 # Usage: scripts/ci.sh [stage] [build-dir-prefix]
-#   stage: all (default) | plain | tsan | asan | chaos | obs | fleet | persist | simd
+#   stage: all (default) | plain | tsan | asan | chaos | obs | fleet | persist | simd | perfbench
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -206,6 +214,11 @@ run_simd() {
     -j "${JOBS}" -R "^($(echo "${SIMD_TESTS}" | tr ' ' '|'))\$"
 }
 
+run_perfbench() {
+  echo "==> [perfbench] benchmark build + smoke (python3 perfbench/smoke.py)"
+  python3 perfbench/smoke.py
+}
+
 case "${STAGE}" in
   plain) run_plain ;;
   tsan) run_tsan ;;
@@ -215,6 +228,7 @@ case "${STAGE}" in
   fleet) run_fleet ;;
   persist) run_persist ;;
   simd) run_simd ;;
+  perfbench) run_perfbench ;;
   all)
     run_plain
     run_tsan
@@ -224,9 +238,10 @@ case "${STAGE}" in
     run_fleet
     run_persist
     run_simd
+    run_perfbench
     ;;
   *)
-    echo "unknown stage: ${STAGE} (want all|plain|tsan|asan|chaos|obs|fleet|persist|simd)" >&2
+    echo "unknown stage: ${STAGE} (want all|plain|tsan|asan|chaos|obs|fleet|persist|simd|perfbench)" >&2
     exit 2
     ;;
 esac

@@ -255,10 +255,6 @@ StatusOr<QueryResult> PrimaryDb::QueryAt(const ScanQuery& query, Scn snapshot) {
   return query_engine_.ExecuteScan(MakeQueryContext(), query, snapshot);
 }
 
-StatusOr<QueryResult> PrimaryDb::Join(const JoinQuery& query) {
-  return query_engine_.ExecuteJoin(MakeQueryContext(), query, current_scn());
-}
-
 StatusOr<QueryResult> PrimaryDb::MultiJoin(const MultiJoinQuery& query) {
   return query_engine_.ExecuteMultiJoin(MakeQueryContext(), query, current_scn());
 }
@@ -1255,19 +1251,6 @@ StatusOr<QueryResult> StandbyDb::QueryAt(const ScanQuery& query, Scn snapshot) {
   if (snapshot == kInvalidScn)
     return Status::InvalidArgument("invalid snapshot SCN");
   return query_engine_.ExecuteScan(MakeQueryContext(), query, snapshot);
-}
-
-StatusOr<QueryResult> StandbyDb::Join(const JoinQuery& query, InstanceId instance) {
-  const Scn scn = query_scn(instance);
-  if (scn == kInvalidScn)
-    return Status::Unavailable("no QuerySCN published yet");
-  return query_engine_.ExecuteJoin(MakeQueryContext(), query, scn);
-}
-
-StatusOr<QueryResult> StandbyDb::JoinAt(const JoinQuery& query, Scn snapshot) {
-  if (snapshot == kInvalidScn)
-    return Status::InvalidArgument("invalid snapshot SCN");
-  return query_engine_.ExecuteJoin(MakeQueryContext(), query, snapshot);
 }
 
 StatusOr<QueryResult> StandbyDb::MultiJoin(const MultiJoinQuery& query,

@@ -77,7 +77,7 @@ struct DatabaseOptions {
   bool primary_imcs_enabled = true;
 
   /// Default scan degree of parallelism for queries that leave
-  /// `ScanQuery::dop` / `JoinQuery::dop` at 0. 1 = serial (the seed
+  /// `ScanQuery::dop` / `MultiJoinQuery::dop` at 0. 1 = serial (the seed
   /// behavior); >1 fans each scan out over the shared ThreadPool.
   uint32_t scan_dop = 1;
 
@@ -155,7 +155,6 @@ class PrimaryDb {
   /// Runs the scan at an explicit snapshot SCN (flashback-style read; used to
   /// compare primary and standby results at the same consistency point).
   StatusOr<QueryResult> QueryAt(const ScanQuery& query, Scn snapshot);
-  StatusOr<QueryResult> Join(const JoinQuery& query);
   /// Star-schema chain of equi-joins with optional grouped aggregation.
   StatusOr<QueryResult> MultiJoin(const MultiJoinQuery& query);
   /// Multi-join at an explicit snapshot SCN (flashback-style read; the
@@ -347,16 +346,12 @@ class StandbyDb : public ApplySink {
   /// Lets callers pin one consistency point across several executions — the
   /// DOP-sweep tests re-run one query at every DOP against the same SCN.
   StatusOr<QueryResult> QueryAt(const ScanQuery& query, Scn snapshot);
-  StatusOr<QueryResult> Join(const JoinQuery& query,
-                             InstanceId instance = kMasterInstance);
   /// Star-schema chain of equi-joins at the live QuerySCN.
   StatusOr<QueryResult> MultiJoin(const MultiJoinQuery& query,
                                   InstanceId instance = 0);
-  /// Multi-join pinned at an explicit snapshot SCN.
+  /// Multi-join pinned at an explicit snapshot SCN (QueryAt's join
+  /// counterpart; the fleet router uses it for pinned-SCN contracts).
   StatusOr<QueryResult> MultiJoinAt(const MultiJoinQuery& query, Scn snapshot);
-  /// Join pinned at an explicit snapshot SCN (QueryAt's join counterpart; the
-  /// fleet router uses it for pinned-SCN contracts).
-  StatusOr<QueryResult> JoinAt(const JoinQuery& query, Scn snapshot);
   StatusOr<std::optional<Row>> Fetch(ObjectId object, int64_t key,
                                      InstanceId instance = kMasterInstance);
 

@@ -82,9 +82,9 @@ class ScanOperator : public Operator {
                                           : std::vector<const ImStore*>{};
 
     // A side scan (any leaf but the driving table's) logs its own "scan"
-    // slow-log entry, like the legacy facade's nested build-side query.
-    const bool own_log = ec->log_side_scans && ec->ctx->slow_log != nullptr &&
-                         object_ != ec->driving_object;
+    // slow-log entry.
+    const bool own_log =
+        ctx.slow_log != nullptr && object_ != ec->driving_object;
     const uint64_t qid =
         own_log ? ctx.slow_log->Begin("scan", object_, ec->snapshot) : 0;
     const uint64_t lookups0 = ec->commit_lookups ? ec->commit_lookups() : 0;

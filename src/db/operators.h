@@ -32,10 +32,8 @@ struct ExecContext {
   /// Every scan leaf's task records accumulate here (the query profile's
   /// lanes roll up all leaves, so lane task counts sum to parallel_tasks).
   ScanProfile* scan_profile = nullptr;
-  /// When true, every scan leaf except the one on `driving_object` logs its
-  /// own "scan" slow-log entry — preserving the legacy facade behavior where
-  /// a join's build side appeared as its own query.
-  bool log_side_scans = false;
+  /// Every scan leaf except the one on `driving_object` logs its own "scan"
+  /// slow-log entry, so a join's build sides appear as their own queries.
   ObjectId driving_object = kInvalidObjectId;
 };
 

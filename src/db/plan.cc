@@ -125,22 +125,13 @@ std::unique_ptr<PlanNode> MakeScanNode(const QueryContext& ctx, ObjectId object,
   return node;
 }
 
-/// The effective aggregate list: the widened `aggregates` surface wins, the
-/// legacy single-aggregate fields are folded in for compatibility.
-std::vector<AggSpec> EffectiveAggregates(const std::vector<AggSpec>& aggregates,
-                                         AggKind legacy, uint32_t legacy_column) {
-  if (!aggregates.empty()) return aggregates;
-  if (legacy != AggKind::kNone) return {AggSpec{legacy, legacy_column}};
-  return {};
-}
-
 /// Wraps `input` with aggregate / project nodes per the shared surface
 /// (group_by + aggregates, else projection). A single ungrouped aggregate
 /// over a bare scan folds inside the scan engine instead (push-down) — the
 /// scan then materializes nothing.
 std::unique_ptr<PlanNode> WrapOutput(std::unique_ptr<PlanNode> input,
                                      const std::vector<uint32_t>& group_by,
-                                     std::vector<AggSpec> aggregates,
+                                     const std::vector<AggSpec>& aggregates,
                                      const std::vector<uint32_t>& projection) {
   if (!aggregates.empty()) {
     if (group_by.empty() && aggregates.size() == 1 &&
@@ -152,7 +143,7 @@ std::unique_ptr<PlanNode> WrapOutput(std::unique_ptr<PlanNode> input,
     auto agg = std::make_unique<PlanNode>();
     agg->kind = PlanNode::Kind::kHashAggregate;
     agg->group_by = group_by;
-    agg->aggregates = std::move(aggregates);
+    agg->aggregates = aggregates;
     agg->children.push_back(std::move(input));
     return agg;
   }
@@ -168,59 +159,9 @@ std::unique_ptr<PlanNode> WrapOutput(std::unique_ptr<PlanNode> input,
 
 }  // namespace
 
-StatusOr<Plan> Planner::PlanScan(const QueryContext& ctx,
-                                 const ScanQuery& query, Scn snapshot) const {
-  Status ok = CheckTable(ctx, query.object, snapshot,
-                         "table does not exist at this snapshot",
-                         "no table object");
-  if (!ok.ok()) return ok;
-  std::vector<AggSpec> aggs =
-      EffectiveAggregates(query.aggregates, query.agg, query.agg_column);
-  if (!query.group_by.empty() && aggs.empty())
-    return Status::InvalidArgument("group_by requires aggregates");
-
-  Plan plan;
-  plan.kind = "scan";
-  plan.object = query.object;
-  plan.root = WrapOutput(MakeScanNode(ctx, query.object, query.predicates,
-                                      query.force_row_store, snapshot),
-                         query.group_by, std::move(aggs), query.projection);
-  return plan;
-}
-
-StatusOr<Plan> Planner::PlanJoin(const QueryContext& ctx,
-                                 const JoinQuery& query, Scn snapshot) const {
-  Status ok = CheckTable(ctx, query.right, snapshot,
-                         "table does not exist at this snapshot",
-                         "no table object");
-  if (!ok.ok()) return ok;
-  ok = CheckTable(ctx, query.left, snapshot,
-                  "left table does not exist at this snapshot",
-                  "no left table object");
-  if (!ok.ok()) return ok;
-
-  auto join = std::make_unique<PlanNode>();
-  join->kind = PlanNode::Kind::kHashJoin;
-  join->probe_column = query.left_column;
-  join->build_column = query.right_column;
-  join->children.push_back(MakeScanNode(ctx, query.left, query.left_predicates,
-                                        query.force_row_store, snapshot));
-  join->children.push_back(MakeScanNode(ctx, query.right,
-                                        query.right_predicates,
-                                        query.force_row_store, snapshot));
-  Plan plan;
-  plan.kind = "join";
-  plan.object = query.left;
-  plan.join_right = query.right;
-  plan.root = std::move(join);
-  return plan;
-}
-
-StatusOr<Plan> Planner::PlanMultiJoin(const QueryContext& ctx,
-                                      const MultiJoinQuery& query,
-                                      Scn snapshot) const {
-  if (query.joins.empty())
-    return Status::InvalidArgument("multi-join needs at least one join edge");
+StatusOr<Plan> Planner::PlanQuery(const QueryContext& ctx,
+                                  const MultiJoinQuery& query,
+                                  Scn snapshot) const {
   Status ok = CheckTable(ctx, query.fact, snapshot,
                          "table does not exist at this snapshot",
                          "no table object");
@@ -231,9 +172,7 @@ StatusOr<Plan> Planner::PlanMultiJoin(const QueryContext& ctx,
                     "no join table object");
     if (!ok.ok()) return ok;
   }
-  std::vector<AggSpec> aggs =
-      EffectiveAggregates(query.aggregates, AggKind::kNone, 0);
-  if (!query.group_by.empty() && aggs.empty())
+  if (!query.group_by.empty() && query.aggregates.empty())
     return Status::InvalidArgument("group_by requires aggregates");
 
   // Left-deep chain: each edge joins the accumulated layout (probe) against
@@ -258,14 +197,15 @@ StatusOr<Plan> Planner::PlanMultiJoin(const QueryContext& ctx,
     filter->children.push_back(std::move(node));
     node = std::move(filter);
   }
-  // A lone ungrouped aggregate must not push into the fact scan here — it
-  // aggregates the *joined* rows — so wrapping only applies push-down when
-  // the input is still a bare scan (never after a join).
+  // A lone ungrouped aggregate pushes into the scan engine only while the
+  // input is still a bare scan; after a join it aggregates the *joined* rows.
   Plan plan;
-  plan.kind = "multijoin";
   plan.object = query.fact;
-  plan.join_right = query.joins.back().object;
-  plan.root = WrapOutput(std::move(node), query.group_by, std::move(aggs),
+  if (!query.joins.empty()) {
+    plan.kind = "join";
+    plan.join_right = query.joins.back().object;
+  }
+  plan.root = WrapOutput(std::move(node), query.group_by, query.aggregates,
                          query.projection);
   return plan;
 }

@@ -12,8 +12,6 @@
 
 namespace stratus {
 
-struct ScanQuery;
-struct JoinQuery;
 struct MultiJoinQuery;
 struct QueryContext;
 
@@ -113,13 +111,13 @@ struct PlanNode {
   std::vector<std::unique_ptr<PlanNode>> children;
 };
 
-/// An executable plan: the operator tree root plus the facade-level kind tag
-/// ("scan" | "join" | "multijoin") stamped into profiles and slow-log rows.
+/// An executable plan: the operator tree root plus the kind tag stamped into
+/// profiles and slow-log rows: "scan" (no join edge) or "join" (1+ edges).
 struct Plan {
   std::unique_ptr<PlanNode> root;
   const char* kind = "scan";
   ObjectId object = kInvalidObjectId;             ///< Driving (probe) table.
-  ObjectId join_right = kInvalidObjectId;         ///< Legacy join build side.
+  ObjectId join_right = kInvalidObjectId;         ///< Last edge's joinee.
 };
 
 /// Builds executable plans from the query surface. Stateless; decisions are
@@ -127,12 +125,10 @@ struct Plan {
 /// reproducible and never changes result bytes — only operator shape.
 class Planner {
  public:
-  StatusOr<Plan> PlanScan(const QueryContext& ctx, const ScanQuery& query,
-                          Scn snapshot) const;
-  StatusOr<Plan> PlanJoin(const QueryContext& ctx, const JoinQuery& query,
-                          Scn snapshot) const;
-  StatusOr<Plan> PlanMultiJoin(const QueryContext& ctx,
-                               const MultiJoinQuery& query, Scn snapshot) const;
+  /// Plans a fact table joined along 0..n edges: a scan is the zero-edge
+  /// query, a two-table join is one hash join over two scan leaves.
+  StatusOr<Plan> PlanQuery(const QueryContext& ctx, const MultiJoinQuery& query,
+                           Scn snapshot) const;
 };
 
 }  // namespace stratus

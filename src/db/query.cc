@@ -75,7 +75,6 @@ StatusOr<QueryResult> QueryEngine::ExecutePlan(const QueryContext& ctx,
   ec.dop = query_dop != 0 ? query_dop : std::max<uint32_t>(1, ctx.default_dop);
   ScanProfile scan_profile;
   ec.scan_profile = &scan_profile;
-  ec.log_side_scans = true;
   ec.driving_object = plan.object;
 
   std::unique_ptr<Operator> root = BuildOperatorTree(*plan.root);
@@ -92,7 +91,7 @@ StatusOr<QueryResult> QueryEngine::ExecutePlan(const QueryContext& ctx,
 
   // Engine accounting rolls up across every scan leaf; build-side leaves
   // also count as standalone scans in the lifetime totals (they logged their
-  // own slow-log entries, like the legacy facade's nested build scan).
+  // own slow-log entries).
   std::vector<OperatorStage> stages;
   root->CollectStages(&stages);
   uint64_t side_scans = 0;
@@ -152,15 +151,14 @@ StatusOr<QueryResult> QueryEngine::ExecuteScan(const QueryContext& ctx,
                                                const ScanQuery& query,
                                                Scn snapshot) const {
   STRATUS_SPAN(obs::Stage::kScan, snapshot);
-  StatusOr<Plan> plan = planner_.PlanScan(ctx, query, snapshot);
-  if (!plan.ok()) return plan.status();
-  return ExecutePlan(ctx, std::move(*plan), query.dop, snapshot);
-}
-
-StatusOr<QueryResult> QueryEngine::ExecuteJoin(const QueryContext& ctx,
-                                               const JoinQuery& query,
-                                               Scn snapshot) const {
-  StatusOr<Plan> plan = planner_.PlanJoin(ctx, query, snapshot);
+  MultiJoinQuery scan;
+  scan.fact = query.object;
+  scan.fact_predicates = query.predicates;
+  scan.group_by = query.group_by;
+  scan.aggregates = query.aggregates;
+  scan.projection = query.projection;
+  scan.force_row_store = query.force_row_store;
+  StatusOr<Plan> plan = planner_.PlanQuery(ctx, scan, snapshot);
   if (!plan.ok()) return plan.status();
   return ExecutePlan(ctx, std::move(*plan), query.dop, snapshot);
 }
@@ -168,7 +166,9 @@ StatusOr<QueryResult> QueryEngine::ExecuteJoin(const QueryContext& ctx,
 StatusOr<QueryResult> QueryEngine::ExecuteMultiJoin(const QueryContext& ctx,
                                                     const MultiJoinQuery& query,
                                                     Scn snapshot) const {
-  StatusOr<Plan> plan = planner_.PlanMultiJoin(ctx, query, snapshot);
+  if (query.joins.empty())
+    return Status::InvalidArgument("multi-join needs at least one join edge");
+  StatusOr<Plan> plan = planner_.PlanQuery(ctx, query, snapshot);
   if (!plan.ok()) return plan.status();
   return ExecutePlan(ctx, std::move(*plan), query.dop, snapshot);
 }

@@ -32,38 +32,19 @@ struct ScanQuery {
   /// Bypass the IMCS (the paper's "without DBIM" baseline); overrides the
   /// planner's per-table access-path choice.
   bool force_row_store = false;
-  /// Legacy single-aggregate surface (kept: push-down folds inside the scan
-  /// engine's workers). Ignored when `aggregates` is non-empty.
-  AggKind agg = AggKind::kNone;
-  uint32_t agg_column = 0;  ///< For kSum/kMin/kMax (integer columns).
   /// GROUP BY key columns (schema or virtual). Requires `aggregates`.
   /// Output rows are group key values ++ one value per aggregate, sorted by
   /// key tuple (deterministic at any DOP).
   std::vector<uint32_t> group_by;
   /// Aggregates computed per group — or, with `group_by` empty, one global
   /// output row of aggregate values (SQL semantics: COUNT of zero rows is 0,
-  /// SUM/MIN/MAX of zero rows is NULL).
+  /// SUM/MIN/MAX of zero rows is NULL). A single ungrouped aggregate folds
+  /// inside the scan engine's workers (push-down) and returns no rows.
   std::vector<AggSpec> aggregates;
   /// Columns kept in non-aggregated output (empty = all columns, including
   /// registered In-Memory Expression virtual columns).
   std::vector<uint32_t> projection;
   /// Degree of parallelism for the scan; 0 = the context's default DOP.
-  uint32_t dop = 0;
-};
-
-/// An equi-join between two scans (dimension-style joins of Figure 2): each
-/// output row is the concatenation left ++ right.
-struct JoinQuery {
-  ObjectId left = kInvalidObjectId;
-  ObjectId right = kInvalidObjectId;
-  uint32_t left_column = 0;
-  uint32_t right_column = 0;
-  std::vector<Predicate> left_predicates;
-  std::vector<Predicate> right_predicates;
-  /// Bypass the IMCS on both build and probe sides (the paper's "without
-  /// DBIM" baseline for Figure 2-style joins).
-  bool force_row_store = false;
-  /// Degree of parallelism for both sides' scans; 0 = the context default.
   uint32_t dop = 0;
 };
 
@@ -81,10 +62,12 @@ struct JoinEdge {
   std::vector<Predicate> predicates;
 };
 
-/// A chain of 2+ equi-joins, star-schema style (the paper's Figure 2 mixed
-/// workload shape: fact table joined to several dimensions), with optional
-/// residual predicates, grouped aggregation, and projection over the final
-/// joined layout.
+/// A fact table joined along a chain of equi-join edges, star-schema style
+/// (the paper's Figure 2 shape: a fact table joined to one or more
+/// dimensions), with optional residual predicates, grouped aggregation, and
+/// projection over the final joined layout. The planner plans every query as
+/// this shape: a ScanQuery is the zero-edge case, and a two-table join is one
+/// edge whose output rows are fact row ++ dimension row.
 struct MultiJoinQuery {
   ObjectId fact = kInvalidObjectId;           ///< Driving (probe) table.
   std::vector<Predicate> fact_predicates;     ///< Pushed into the fact scan.
@@ -206,14 +189,11 @@ class QueryEngine {
   StatusOr<QueryResult> ExecuteScan(const QueryContext& ctx, const ScanQuery& query,
                                     Scn snapshot) const;
 
-  /// Hash equi-join. The executor builds the hash table on whichever side
-  /// materialized fewer rows; output order stays canonical (probe-row order,
-  /// build matches in build order) so the choice never changes result bytes.
-  StatusOr<QueryResult> ExecuteJoin(const QueryContext& ctx, const JoinQuery& query,
-                                    Scn snapshot) const;
-
-  /// Star-schema chain of 2+ equi-joins with optional residual filters,
-  /// grouped aggregation, and projection over the joined layout.
+  /// Star-schema chain of 1+ equi-joins with optional residual filters,
+  /// grouped aggregation, and projection over the joined layout. Each hash
+  /// join builds on whichever side materialized fewer rows; output order
+  /// stays canonical (probe-row order, build matches in build order) so the
+  /// choice never changes result bytes.
   StatusOr<QueryResult> ExecuteMultiJoin(const QueryContext& ctx,
                                          const MultiJoinQuery& query,
                                          Scn snapshot) const;

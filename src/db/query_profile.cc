@@ -44,8 +44,12 @@ std::vector<WorkerLane> RollupLanes(const ScanProfile& profile) {
   for (const ScanTaskProfile& t : profile.tasks) {
     WorkerLane& lane = by_worker[t.worker];
     lane.worker = t.worker;
+    // A later task's wait also counts the lane's own earlier run time, so
+    // only the lane's first (smallest) wait is time spent queued.
+    lane.queue_wait_us = lane.tasks == 0
+                             ? t.queue_wait_us
+                             : std::min(lane.queue_wait_us, t.queue_wait_us);
     ++lane.tasks;
-    lane.queue_wait_us += t.queue_wait_us;
     lane.exec_us += t.exec_us;
   }
   std::vector<WorkerLane> lanes;

@@ -14,11 +14,13 @@
 namespace stratus {
 
 /// Per-pool-lane rollup of one query's scan tasks: which thread ran how many
-/// tasks, how long they waited behind the submit, and how long they ran.
+/// tasks, how long it waited for its first task, and how long they ran.
 struct WorkerLane {
   uint32_t worker = 0;         ///< Dense obs thread ordinal.
   uint64_t tasks = 0;
-  uint64_t queue_wait_us = 0;  ///< Summed task start − scan submit.
+  /// Scan submit → this lane's first task start (the minimum over its
+  /// tasks), so it never exceeds the query's wall time.
+  uint64_t queue_wait_us = 0;
   uint64_t exec_us = 0;        ///< Summed task run time.
 };
 

@@ -60,19 +60,6 @@ StatusOr<QueryResult> ServiceDirectory::Query(const std::string& service,
   return cluster_->primary()->Query(query);
 }
 
-StatusOr<QueryResult> ServiceDirectory::Join(const std::string& service,
-                                             const JoinQuery& query) {
-  StatusOr<ServiceDefinition> def = Lookup(service);
-  if (!def.ok()) return def.status();
-  if (def->on_standby) {
-    StatusOr<QueryResult> result =
-        cluster_->standby()->Join(query, def->standby_instance);
-    if (result.ok() || !def->on_primary || !result.status().IsUnavailable())
-      return result;
-  }
-  return cluster_->primary()->Join(query);
-}
-
 StatusOr<std::optional<Row>> ServiceDirectory::Fetch(const std::string& service,
                                                      ObjectId object, int64_t key) {
   StatusOr<ServiceDefinition> def = Lookup(service);

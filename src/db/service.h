@@ -51,9 +51,6 @@ class ServiceDirectory {
   /// no primary fallback.
   StatusOr<QueryResult> Query(const std::string& service, const ScanQuery& query);
 
-  /// Routes an equi-join the same way.
-  StatusOr<QueryResult> Join(const std::string& service, const JoinQuery& query);
-
   /// Routes an index fetch the same way.
   StatusOr<std::optional<Row>> Fetch(const std::string& service, ObjectId object,
                                      int64_t key);

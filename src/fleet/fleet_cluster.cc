@@ -147,6 +147,7 @@ void FleetCluster::Start() {
   shipper_metrics_cb_.Attach(registry_, [this](obs::MetricsSink* sink) {
     const obs::Labels labels{{"role", "transport"}};
     uint64_t bytes = 0, records = 0;
+    std::lock_guard<std::mutex> g(shippers_mu_);
     for (const auto& node : nodes_) {
       for (const auto& s : node->shippers_) {
         bytes += s->bytes_shipped();
@@ -187,6 +188,7 @@ void FleetCluster::Stop() {
 }
 
 void FleetCluster::StartShippers(StandbyNode* node) {
+  std::vector<std::unique_ptr<LogShipper>> shippers;
   for (int t = 0; t < primary_.redo_threads(); ++t) {
     ShipperOptions shipping = options_.db.shipping;
     shipping.cursor_id = node->cursor_ids_[static_cast<size_t>(t)];
@@ -207,16 +209,22 @@ void FleetCluster::StartShippers(StandbyNode* node) {
         if (p != nullptr) p->NoteCursorSeq(stream, seq);
       };
     }
-    node->shippers_.push_back(std::make_unique<LogShipper>(
+    shippers.push_back(std::make_unique<LogShipper>(
         primary_.redo_log(t), node->db_.stream(static_cast<size_t>(t)),
         shipping));
-    node->shippers_.back()->Start();
+    shippers.back()->Start();
   }
+  std::lock_guard<std::mutex> g(shippers_mu_);
+  node->shippers_ = std::move(shippers);
 }
 
 void FleetCluster::StopShippers(StandbyNode* node) {
-  for (auto& s : node->shippers_) s->Stop();
-  node->shippers_.clear();
+  std::vector<std::unique_ptr<LogShipper>> shippers;
+  {
+    std::lock_guard<std::mutex> g(shippers_mu_);
+    shippers.swap(node->shippers_);
+  }
+  for (auto& s : shippers) s->Stop();
 }
 
 StatusOr<ObjectId> FleetCluster::CreateTable(const std::string& name,
@@ -287,6 +295,7 @@ Status FleetCluster::RestartStandby(int i, RestartMode mode) {
 
 uint64_t FleetCluster::shipped_bytes() const {
   uint64_t total = 0;
+  std::lock_guard<std::mutex> g(shippers_mu_);
   for (const auto& node : nodes_)
     for (const auto& s : node->shippers_) total += s->bytes_shipped();
   return total;

@@ -182,6 +182,11 @@ class FleetCluster {
   obs::MetricsRegistry* registry_ = nullptr;
   PrimaryDb primary_;
   std::vector<std::unique_ptr<StandbyNode>> nodes_;
+  /// Guards every node's `shippers_` vector: node restarts swap it while
+  /// metrics scrapes read it. Held only to move or read the vectors, never
+  /// across shipper construction, Start, Stop or destruction (channels
+  /// register with the metrics registry, whose scrape takes this lock).
+  mutable std::mutex shippers_mu_;
   bool started_ = false;
   obs::ScopedMetricsCallback shipper_metrics_cb_;
 };

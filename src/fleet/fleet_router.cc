@@ -302,13 +302,6 @@ StatusOr<RoutedResult> FleetRouter::Query(const ScanQuery& query,
   });
 }
 
-StatusOr<RoutedResult> FleetRouter::Join(const JoinQuery& query,
-                                         const FreshnessContract& contract) {
-  return Route(contract, [&query](StandbyDb* db, Scn pin) {
-    return pin == kInvalidScn ? db->Join(query) : db->JoinAt(query, pin);
-  });
-}
-
 StatusOr<RoutedResult> FleetRouter::MultiJoin(
     const MultiJoinQuery& query, const FreshnessContract& contract) {
   return Route(contract, [&query](StandbyDb* db, Scn pin) {

@@ -131,8 +131,6 @@ class FleetRouter {
 
   StatusOr<RoutedResult> Query(const ScanQuery& query,
                                const FreshnessContract& contract);
-  StatusOr<RoutedResult> Join(const JoinQuery& query,
-                              const FreshnessContract& contract);
   /// Star-schema multi-join under the same freshness contracts (pinned
   /// contracts execute through StandbyDb::MultiJoinAt).
   StatusOr<RoutedResult> MultiJoin(const MultiJoinQuery& query,

@@ -25,8 +25,7 @@ ScanQuery RandomScan(ObjectId table, int64_t value_domain, Random* rng) {
     q.predicates = {{3, PredOp::kEq,
                      Value(std::string("s") + std::to_string(rng->Uniform(6)))}};
   }  // kind == 2: unfiltered.
-  q.agg = AggKind::kSum;
-  q.agg_column = 2;
+  q.aggregates = {{AggKind::kSum, 2}};
   return q;
 }
 

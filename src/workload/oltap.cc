@@ -127,7 +127,7 @@ Status OltapWorkload::RunScanOnce(Random* rng, bool q2) {
   query.dop = options_.scan_dop;
   // Count instead of materializing SELECT * — latency is dominated by the
   // scan itself either way, and counting keeps harness memory flat.
-  query.agg = AggKind::kCount;
+  query.aggregates = {{AggKind::kCount, 0}};
   if (!q2) {
     // Q1: WHERE n1 = :1.
     query.predicates.push_back(Predicate{

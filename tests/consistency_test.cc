@@ -154,8 +154,7 @@ TEST_P(ConsistencyTest, StandbyEqualsPrimaryAtEveryQueryScn) {
   const uint64_t deadline = NowMicros() + 15'000'000;
   while (checks < 25 && NowMicros() < deadline) {
     ScanQuery q = RandomQuery(harness.table(), &qrng);
-    q.agg = AggKind::kSum;
-    q.agg_column = 2;
+    q.aggregates = {{AggKind::kSum, 2}};
 
     const auto standby = cluster.standby()->Query(q);
     if (!standby.ok()) continue;  // QuerySCN not yet published.
@@ -196,8 +195,7 @@ TEST_P(ConsistencyTest, DopSweepByteIdenticalUnderChurn) {
   while (checks < 12 && NowMicros() < deadline) {
     ScanQuery q = RandomQuery(harness.table(), &qrng);
     if (qrng.Percent(50)) {
-      q.agg = AggKind::kSum;
-      q.agg_column = 2;
+      q.aggregates = {{AggKind::kSum, 2}};
     }
     const Scn scn = cluster.standby()->query_scn();
     if (scn == kInvalidScn) continue;
@@ -532,8 +530,7 @@ TEST_P(FleetConsistencyTest, PinnedQueryByteIdenticalOnEveryStandby) {
   const uint64_t deadline = NowMicros() + 15'000'000;
   while (checks < 10 && NowMicros() < deadline) {
     ScanQuery q = RandomQuery(harness.table(), &qrng);
-    q.agg = AggKind::kSum;
-    q.agg_column = 2;
+    q.aggregates = {{AggKind::kSum, 2}};
 
     // Pin at an SCN every standby has published (so none must wait).
     Scn pin = kInvalidScn;
@@ -585,8 +582,7 @@ TEST_P(FleetConsistencyTest, StrictRoutingNeverBelowFreshestWatermark) {
   const uint64_t deadline = NowMicros() + 15'000'000;
   while (checks < 15 && NowMicros() < deadline) {
     ScanQuery q = RandomQuery(harness.table(), &qrng);
-    q.agg = AggKind::kSum;
-    q.agg_column = 2;
+    q.aggregates = {{AggKind::kSum, 2}};
 
     // An independently observed pre-decision floor: whatever some standby
     // has already published before the router even looks must be covered.

@@ -46,7 +46,7 @@ TEST_F(ClusterTest, StandbyCatchesUpAndServesQueries) {
 
   ScanQuery q;
   q.object = table_;
-  q.agg = AggKind::kCount;
+  q.aggregates = {{AggKind::kCount, 0}};
   const auto result = cluster_.standby()->Query(q);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->count, 600u);
@@ -118,7 +118,7 @@ TEST_F(ClusterTest, DeletesPropagate) {
 
   ScanQuery q;
   q.object = table_;
-  q.agg = AggKind::kCount;
+  q.aggregates = {{AggKind::kCount, 0}};
   EXPECT_EQ(cluster_.standby()->Query(q)->count,
             static_cast<uint64_t>(kRowsPerBlock) - 10u);
 }
@@ -222,7 +222,7 @@ TEST(ClusterConfigTest, TwoPrimaryRedoThreads) {
   cluster.WaitForCatchup();
   ScanQuery q;
   q.object = table;
-  q.agg = AggKind::kCount;
+  q.aggregates = {{AggKind::kCount, 0}};
   EXPECT_EQ(cluster.standby()->Query(q)->count, 200u);
   cluster.Stop();
 }

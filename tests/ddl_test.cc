@@ -89,7 +89,7 @@ TEST_F(DdlTest, NoInMemoryDropsImcusButKeepsData) {
   EXPECT_EQ(cluster_.standby()->im_store()->SmusForObject(table_).size(), 0u);
   ScanQuery q;
   q.object = table_;
-  q.agg = AggKind::kCount;
+  q.aggregates = {{AggKind::kCount, 0}};
   const auto result = cluster_.standby()->Query(q);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->count, 2u * kRowsPerBlock);

@@ -277,7 +277,7 @@ TEST_F(ExecutorTest, ThreeTableMultiJoin) {
     EXPECT_EQ(row[5].as_string(), "d" + std::to_string(row[1].as_int()));
     EXPECT_EQ(row[2], row[6]);  // fact.n2 == dims2.key.
   }
-  EXPECT_EQ(result->profile.kind, "multijoin");
+  EXPECT_EQ(result->profile.kind, "join");
 }
 
 TEST_F(ExecutorTest, MultiJoinGroupedAggregation) {
@@ -360,12 +360,10 @@ TEST_F(ExecutorTest, NullJoinKeyNeverMatches) {
                   .ok());
   ASSERT_TRUE(db_.Commit(&txn).ok());
 
-  JoinQuery join;
-  join.left = facts;
-  join.right = dims;
-  join.left_column = 1;
-  join.right_column = 0;
-  const auto result = db_.Join(join);
+  MultiJoinQuery join;
+  join.fact = facts;
+  join.joins = {JoinEdge{dims, 1, 0, {}}};
+  const auto result = db_.MultiJoin(join);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->count, 2u);
   for (const Row& row : result->rows) {
@@ -410,8 +408,7 @@ TEST_F(ExecutorTest, SumOverflowSaturatesIdenticallyEverywhere) {
                                 " dop=" + std::to_string(dop);
         ScanQuery q;
         q.object = big;
-        q.agg = AggKind::kSum;
-        q.agg_column = 1;
+        q.aggregates = {{AggKind::kSum, 1}};
         q.force_row_store = force_row;
         q.dop = dop;
         const auto pushdown = db_.Query(q);
@@ -422,7 +419,6 @@ TEST_F(ExecutorTest, SumOverflowSaturatesIdenticallyEverywhere) {
             << ctx;
 
         ScanQuery grouped = q;
-        grouped.agg = AggKind::kNone;
         grouped.group_by = {2};  // All six rows share n2 = 1: one group.
         grouped.aggregates = {{AggKind::kSum, 1}, {AggKind::kCount, 0}};
         const auto hashed = db_.Query(grouped);
@@ -451,8 +447,7 @@ TEST_F(ExecutorTest, SumOverflowSaturatesIdenticallyEverywhere) {
   ScanQuery q;
   q.object = big;
   q.predicates = {{0, PredOp::kGe, Value(int64_t{6})}};
-  q.agg = AggKind::kSum;
-  q.agg_column = 1;
+  q.aggregates = {{AggKind::kSum, 1}};
   const auto low = db_.Query(q);
   ASSERT_TRUE(low.ok());
   EXPECT_TRUE(low->agg_overflow);
@@ -577,12 +572,10 @@ TEST_F(ExecutorTest, PlannerPathPinnedAcrossDopAndKernels) {
 
 TEST_F(ExecutorTest, JoinBuildsOnSmallerInput) {
   const ObjectId dims = MakeDims("dimsb", 4, "d");
-  JoinQuery join;
-  join.left = table_;  // 200 rows.
-  join.right = dims;   // 4 rows → build side.
-  join.left_column = 1;
-  join.right_column = 0;
-  const auto big_left = db_.Join(join);
+  MultiJoinQuery join;
+  join.fact = table_;                       // 200 rows.
+  join.joins = {JoinEdge{dims, 1, 0, {}}};  // 4 rows → build side.
+  const auto big_left = db_.MultiJoin(join);
   ASSERT_TRUE(big_left.ok());
   const OperatorStage* stage = nullptr;
   for (const OperatorStage& s : big_left->profile.stages) {
@@ -595,12 +588,10 @@ TEST_F(ExecutorTest, JoinBuildsOnSmallerInput) {
 
   // Swapped: the smaller side is now the left (probe) input — the executor
   // hashes it instead, and the canonical output order hides the difference.
-  JoinQuery swapped;
-  swapped.left = dims;
-  swapped.right = table_;
-  swapped.left_column = 0;
-  swapped.right_column = 1;
-  const auto small_left = db_.Join(swapped);
+  MultiJoinQuery swapped;
+  swapped.fact = dims;
+  swapped.joins = {JoinEdge{table_, 0, 1, {}}};
+  const auto small_left = db_.MultiJoin(swapped);
   ASSERT_TRUE(small_left.ok());
   stage = nullptr;
   for (const OperatorStage& s : small_left->profile.stages) {

@@ -138,7 +138,7 @@ TEST_F(ImExpressionClusterTest, ExpressionServedFromImcs) {
   ScanQuery q;
   q.object = table_;
   q.predicates = {{vcol, PredOp::kEq, Value(int64_t{305})}};  // n1=3, n2=5.
-  q.agg = AggKind::kCount;
+  q.aggregates = {{AggKind::kCount, 0}};
   const auto imcs = cluster_.standby()->Query(q);
   ASSERT_TRUE(imcs.ok());
   EXPECT_GT(imcs->count, 0u);
@@ -163,7 +163,7 @@ TEST_F(ImExpressionClusterTest, PreExpressionImcusFallBackToRowPath) {
   ScanQuery q;
   q.object = table_;
   q.predicates = {{vcol, PredOp::kEq, Value(int64_t{6})}};  // n1 == 3.
-  q.agg = AggKind::kCount;
+  q.aggregates = {{AggKind::kCount, 0}};
   const auto before = cluster_.standby()->Query(q);
   ASSERT_TRUE(before.ok());
   // n1 cycles 0..9 over 512 rows → ~51 rows with n1==3.
@@ -197,7 +197,7 @@ TEST_F(ImExpressionClusterTest, InvalidatedRowsReevaluateExpressions) {
   ScanQuery q;
   q.object = table_;
   q.predicates = {{vcol, PredOp::kEq, Value(int64_t{420})}};
-  q.agg = AggKind::kCount;
+  q.aggregates = {{AggKind::kCount, 0}};
   const auto result = cluster_.standby()->Query(q);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->count, 1u);
@@ -212,8 +212,7 @@ TEST_F(ImExpressionClusterTest, AggregationPushdownOnExpression) {
 
   ScanQuery q;
   q.object = table_;
-  q.agg = AggKind::kSum;
-  q.agg_column = vcol;
+  q.aggregates = {{AggKind::kSum, vcol}};
   const auto imcs = cluster_.standby()->Query(q);
   ASSERT_TRUE(imcs.ok());
   q.force_row_store = true;
@@ -229,8 +228,7 @@ TEST_F(ImExpressionClusterTest, AggregationPushdownMatchesMaterializedPath) {
   ScanQuery q;
   q.object = table_;
   q.predicates = {{1, PredOp::kGe, Value(int64_t{5})}};
-  q.agg = AggKind::kSum;
-  q.agg_column = 2;
+  q.aggregates = {{AggKind::kSum, 2}};
   const auto imcs = cluster_.standby()->Query(q);
   ASSERT_TRUE(imcs.ok());
   q.force_row_store = true;

@@ -36,7 +36,7 @@ class FailoverTest : public ::testing::Test {
   uint64_t Count(StandbyDb* db) {
     ScanQuery q;
     q.object = table_;
-    q.agg = AggKind::kCount;
+    q.aggregates = {{AggKind::kCount, 0}};
     auto result = db->Query(q);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return result.ok() ? result->count : 0;
@@ -95,7 +95,7 @@ TEST_F(FailoverTest, ImcsRebuildsAndMaintainsAfterPromotion) {
   ScanQuery q;
   q.object = table_;
   q.predicates = {{1, PredOp::kEq, Value(int64_t{3})}};
-  q.agg = AggKind::kCount;
+  q.aggregates = {{AggKind::kCount, 0}};
   auto result = standby->Query(q);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->stats.rows_from_imcs, 0u);
@@ -117,7 +117,7 @@ TEST_F(FailoverTest, ImcsRebuildsAndMaintainsAfterPromotion) {
   ScanQuery updated;
   updated.object = table_;
   updated.predicates = {{1, PredOp::kEq, Value(int64_t{777})}};
-  updated.agg = AggKind::kCount;
+  updated.aggregates = {{AggKind::kCount, 0}};
   EXPECT_EQ(standby->Query(updated)->count, 1u);
 }
 
@@ -183,7 +183,7 @@ TEST_F(FailoverTest, SnapshotIsolationSurvivesPromotion) {
   ScanQuery q;
   q.object = table_;
   q.predicates = {{1, PredOp::kEq, Value(int64_t{888})}};
-  q.agg = AggKind::kCount;
+  q.aggregates = {{AggKind::kCount, 0}};
   EXPECT_EQ(standby->Query(q)->count, 1u);
   (void)before;
 }

@@ -15,8 +15,7 @@ namespace {
 void ExpectConsistent(AdgCluster* cluster, ObjectId table, const char* label) {
   ScanQuery q;
   q.object = table;
-  q.agg = AggKind::kSum;
-  q.agg_column = 1;
+  q.aggregates = {{AggKind::kSum, 1}};
   const auto standby = cluster->standby()->Query(q);
   ASSERT_TRUE(standby.ok()) << label << ": " << standby.status().ToString();
   const auto primary = cluster->primary()->QueryAt(q, standby->snapshot);
@@ -244,7 +243,7 @@ TEST(FaultInjectionTest, StopIsCleanWithPendingRedo) {
   cluster.WaitForCatchup();
   ScanQuery q;
   q.object = table;
-  q.agg = AggKind::kCount;
+  q.aggregates = {{AggKind::kCount, 0}};
   EXPECT_EQ(cluster.standby()->Query(q)->count, static_cast<uint64_t>(next_id));
   cluster.Stop();
 }

@@ -99,8 +99,7 @@ TEST_P(FleetChaosTest, KillOneStandbyFleetKeepsServingRejoinAuditsClean) {
   FleetRouter router(&fleet, router_options);
   ScanQuery q;
   q.object = table;
-  q.agg = AggKind::kSum;
-  q.agg_column = 2;
+  q.aggregates = {{AggKind::kSum, 2}};
   const FreshnessContract bounded = FreshnessContract::BoundedScn(1'000'000);
 
   auto serve_burst = [&](int n) {

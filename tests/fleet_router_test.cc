@@ -105,8 +105,7 @@ class FleetRouterTest : public ::testing::Test {
   ScanQuery SumQuery() const {
     ScanQuery q;
     q.object = table_;
-    q.agg = AggKind::kSum;
-    q.agg_column = 2;
+    q.aggregates = {{AggKind::kSum, 2}};
     return q;
   }
 
@@ -207,6 +206,53 @@ TEST_F(FleetRouterTest, PinnedIsStickyAndByteIdenticalAcrossSessions) {
   EXPECT_EQ(router.stats().freshness_violations, 0u);
 }
 
+// The fleet's one join route: a fact-to-dimension join under strict and
+// pinned contracts returns exactly the primary's rows at the served SCN.
+TEST_F(FleetRouterTest, MultiJoinMatchesPrimaryAtServedSnapshot) {
+  const ObjectId dim =
+      fleet_
+          ->CreateTable("dim", kDefaultTenant, Schema::WideTable(1, 1),
+                        ImService::kStandbyOnly, true)
+          .value();
+  Transaction txn = fleet_->primary()->Begin();
+  for (int64_t id = 0; id < 10; ++id) {
+    ASSERT_TRUE(fleet_->primary()
+                    ->Insert(&txn, dim,
+                             Row{Value(id), Value(id * 10),
+                                 Value(std::string("d") + std::to_string(id))},
+                             nullptr)
+                    .ok());
+  }
+  ASSERT_TRUE(fleet_->primary()->Commit(&txn).ok());
+  FleetRouter router(fleet_.get(), RouterOptions{});
+  const Scn pin = fleet_->WaitForCatchup();
+  ASSERT_NE(pin, kInvalidScn);
+  InsertRows(5000, 256);
+
+  MultiJoinQuery mj;
+  mj.fact = table_;
+  mj.joins = {JoinEdge{dim, 1, 0, {}}};  // fact.n1 (0..49) = dim.id (0..9).
+
+  const auto strict = router.MultiJoin(mj, FreshnessContract::Strict());
+  ASSERT_TRUE(strict.ok()) << strict.status().ToString();
+  const auto strict_primary =
+      fleet_->primary()->MultiJoinAt(mj, strict->result.snapshot);
+  ASSERT_TRUE(strict_primary.ok()) << strict_primary.status().ToString();
+  EXPECT_FALSE(strict->result.rows.empty());
+  EXPECT_EQ(strict->result.rows, strict_primary->rows);
+
+  const auto at_pin = fleet_->primary()->MultiJoinAt(mj, pin);
+  ASSERT_TRUE(at_pin.ok()) << at_pin.status().ToString();
+  for (uint64_t session = 0; session < 6; ++session) {
+    const auto routed =
+        router.MultiJoin(mj, FreshnessContract::PinnedAt(pin, session));
+    ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+    EXPECT_EQ(routed->result.snapshot, pin);
+    EXPECT_EQ(routed->result.rows, at_pin->rows) << "session=" << session;
+  }
+  EXPECT_EQ(router.stats().freshness_violations, 0u);
+}
+
 TEST_F(FleetRouterTest, DrainsStoppedNodeAndServesFromRest) {
   FleetRouter router(fleet_.get(), RouterOptions{});
   fleet_->StopStandby(1);
@@ -273,12 +319,38 @@ TEST_F(FleetRouterTest, RestartOfRunningNodeReplacesItsShippers) {
   ASSERT_NE(fleet_->WaitForNodeCatchup(1), kInvalidScn);
   ScanQuery q;
   q.object = table_;
-  q.agg = AggKind::kCount;
+  q.aggregates = {{AggKind::kCount, 0}};
   const auto on_primary = fleet_->primary()->Query(q);
   const auto on_node = fleet_->node(1)->db()->Query(q);
   ASSERT_TRUE(on_primary.ok()) << on_primary.status().ToString();
   ASSERT_TRUE(on_node.ok()) << on_node.status().ToString();
   EXPECT_EQ(on_node->count, on_primary->count);
+}
+
+// Node restarts replace a node's shippers while the fleet's metrics callback
+// iterates every node's shippers; a scrape racing them must read a whole
+// vector, never one being swapped out (TSan reports the unguarded read).
+TEST_F(FleetRouterTest, ScrapeDuringNodeRestartsIsRaceFree) {
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> scrapes{0};
+  std::thread scraper([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      EXPECT_NE(fleet_->MetricsText().find("stratus_redo_shipped_bytes"),
+                std::string::npos);
+      scrapes.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  for (int round = 0; round < 4; ++round) {
+    InsertRows(200'000 + round * 64, 64);
+    EXPECT_TRUE(fleet_->RestartStandby(1).ok());
+    fleet_->StopStandby(2);
+    EXPECT_TRUE(fleet_->RestartStandby(2).ok());
+  }
+  stop.store(true, std::memory_order_release);
+  scraper.join();
+  EXPECT_GT(scrapes.load(std::memory_order_relaxed), 0u);
+  EXPECT_TRUE(fleet_->node(1)->accepting());
+  EXPECT_TRUE(fleet_->node(2)->accepting());
 }
 
 TEST_F(FleetRouterTest, NoCandidateWhenEveryStandbyDown) {

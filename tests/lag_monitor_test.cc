@@ -291,7 +291,7 @@ TEST_F(LagMonitorClusterTest, ClusterExportCoversPipelineAndLag) {
   (void)cluster_->standby()->PopulateNow(table_);
   ScanQuery q;
   q.object = table_;
-  q.agg = AggKind::kCount;
+  q.aggregates = {{AggKind::kCount, 0}};
   ASSERT_TRUE(cluster_->standby()->Query(q).ok());
 
   // Acceptance floor from the issue: the unified export spans redo transport,

@@ -60,7 +60,7 @@ TEST_F(MiraTest, GlobalQueryScnServesConsistentReads) {
   cluster_.WaitForCatchup();
   ScanQuery q;
   q.object = table_;
-  q.agg = AggKind::kCount;
+  q.aggregates = {{AggKind::kCount, 0}};
   EXPECT_EQ(cluster_.standby()->Query(q)->count, static_cast<uint64_t>(next_id_));
 }
 
@@ -85,7 +85,7 @@ TEST_F(MiraTest, MiningAndFlushWorkAcrossInstances) {
   ScanQuery q;
   q.object = table_;
   q.predicates = {{1, PredOp::kEq, Value(int64_t{555})}};
-  q.agg = AggKind::kCount;
+  q.aggregates = {{AggKind::kCount, 0}};
   const auto result = cluster_.standby()->Query(q);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->count, 64u);
@@ -112,7 +112,7 @@ TEST_F(MiraTest, ConsistencyUnderChurn) {
     ScanQuery q;
     q.object = table_;
     q.predicates = {{1, PredOp::kEq, Value(static_cast<int64_t>(rng.Uniform(9)))}};
-    q.agg = AggKind::kCount;
+    q.aggregates = {{AggKind::kCount, 0}};
     const auto standby = cluster_.standby()->Query(q);
     if (!standby.ok()) continue;
     const auto primary = cluster_.primary()->QueryAt(q, standby->snapshot);
@@ -129,7 +129,7 @@ TEST_F(MiraTest, RestartResumesMira) {
   cluster_.WaitForCatchup();
   ScanQuery q;
   q.object = table_;
-  q.agg = AggKind::kCount;
+  q.aggregates = {{AggKind::kCount, 0}};
   EXPECT_EQ(cluster_.standby()->Query(q)->count, static_cast<uint64_t>(next_id_));
   EXPECT_EQ(cluster_.standby()->mira_instances(), 2u);
 }
@@ -158,7 +158,7 @@ TEST(MiraConfigTest, FourApplyInstances) {
   cluster.WaitForCatchup();
   ScanQuery q;
   q.object = table;
-  q.agg = AggKind::kCount;
+  q.aggregates = {{AggKind::kCount, 0}};
   EXPECT_EQ(cluster.standby()->Query(q)->count, 1000u);
   cluster.Stop();
 }

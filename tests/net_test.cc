@@ -630,8 +630,7 @@ TEST(ClusterOverSocketTest, ConsistencyHoldsUnderWireFaults) {
       q.predicates = {
           {1, PredOp::kEq, Value(static_cast<int64_t>(qrng.Uniform(50)))}};
     }
-    q.agg = AggKind::kSum;
-    q.agg_column = 2;
+    q.aggregates = {{AggKind::kSum, 2}};
     const auto standby = cluster.standby()->Query(q);
     if (!standby.ok()) continue;
     const auto primary = cluster.primary()->QueryAt(q, standby->snapshot);

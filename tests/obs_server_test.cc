@@ -213,7 +213,7 @@ TEST_F(ObsEndpointsTest, GoldenEndpointPayloads) {
   // One standby query so /queries has a completed profile.
   ScanQuery q;
   q.object = table_;
-  q.agg = AggKind::kCount;
+  q.aggregates = {{AggKind::kCount, 0}};
   ASSERT_TRUE(cluster_->standby()->Query(q).ok());
 
   int status = 0;
@@ -283,7 +283,7 @@ TEST_F(ObsEndpointsTest, ConcurrentScrapesDuringWriterChurn) {
     while (!stop.load(std::memory_order_acquire)) {
       ScanQuery q;
       q.object = table_;
-      q.agg = AggKind::kCount;
+      q.aggregates = {{AggKind::kCount, 0}};
       (void)cluster_->standby()->Query(q);
     }
   });

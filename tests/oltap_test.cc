@@ -27,7 +27,7 @@ TEST(OltapTest, SetupLoadsAndPopulates) {
 
   ScanQuery q;
   q.object = workload.table_id();
-  q.agg = AggKind::kCount;
+  q.aggregates = {{AggKind::kCount, 0}};
   EXPECT_EQ(cluster.standby()->Query(q)->count, 2000u);
   EXPECT_GT(cluster.standby()->im_store()->Stats().smus_ready, 0u);
 }

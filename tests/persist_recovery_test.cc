@@ -47,7 +47,7 @@ void Load(AdgCluster* cluster, ObjectId table, int64_t* next_id, int n) {
 uint64_t CountRows(StandbyDb* standby, ObjectId table) {
   ScanQuery q;
   q.object = table;
-  q.agg = AggKind::kCount;
+  q.aggregates = {{AggKind::kCount, 0}};
   const auto result = standby->Query(q);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return result.ok() ? result->count : 0;
@@ -155,7 +155,7 @@ TEST(PersistRecoveryTest, SnapshotResumeSeedsImcsCoverage) {
   EXPECT_EQ(CountRows(cluster.standby(), table), static_cast<uint64_t>(next_id));
   ScanQuery q;
   q.object = table;
-  q.agg = AggKind::kCount;
+  q.aggregates = {{AggKind::kCount, 0}};
   const auto result = cluster.standby()->Query(q);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->stats.rows_from_imcs, 0u);
@@ -304,7 +304,7 @@ TEST(PersistRecoveryTest, FleetNodeDiskRestartRedeliversFromDiskTruth) {
             scn_before);
   ScanQuery q;
   q.object = table;
-  q.agg = AggKind::kCount;
+  q.aggregates = {{AggKind::kCount, 0}};
   for (int i = 0; i < 2; ++i) {
     const auto result = fleet.node(i)->db()->Query(q);
     ASSERT_TRUE(result.ok()) << "node " << i << ": "

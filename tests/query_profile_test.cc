@@ -207,7 +207,7 @@ TEST_F(QueryProfileTest, RowPathScanFillsProfile) {
 TEST_F(QueryProfileTest, LaneTasksSumToParallelTasks) {
   ScanQuery q;
   q.object = table_;
-  q.agg = AggKind::kCount;
+  q.aggregates = {{AggKind::kCount, 0}};
   q.dop = 4;
   const auto result = db_.Query(q);
   ASSERT_TRUE(result.ok());
@@ -225,6 +225,44 @@ TEST_F(QueryProfileTest, LaneTasksSumToParallelTasks) {
     EXPECT_LT(prof.lanes[i - 1].worker, prof.lanes[i].worker);
 }
 
+// A lane's wait is scan submit → its first task. Summing every task's
+// (start − submit) recounts the lane's own earlier tasks and grows
+// quadratically at DOP 1, so no lane may report waiting longer than the
+// query ran.
+TEST_F(QueryProfileTest, LaneWaitIsBoundedByWallTime) {
+  const ObjectId big =
+      db_.CreateTable("big", kDefaultTenant, Schema::WideTable(1, 1),
+                      ImService::kPrimaryOnly, /*identity_index=*/false)
+          .value();
+  Transaction txn = db_.Begin();
+  for (int64_t id = 0; id < 64 * kRowsPerBlock; ++id) {
+    Row row{Value(id), Value(id % 16), Value(std::string("g"))};
+    ASSERT_TRUE(db_.Insert(&txn, big, std::move(row), nullptr).ok());
+  }
+  ASSERT_TRUE(db_.Commit(&txn).ok());
+  ASSERT_TRUE(db_.PopulateNow(big).ok());
+
+  for (const uint32_t dop : {1u, 4u}) {
+    ScanQuery q;
+    q.object = big;
+    q.group_by = {1};
+    q.aggregates = {{AggKind::kCount, 0}};
+    q.dop = dop;
+    const auto result = db_.Query(q);
+    ASSERT_TRUE(result.ok());
+    const QueryProfile& prof = result->profile;
+    ASSERT_GT(prof.scan.parallel_tasks, 1u) << "dop=" << dop;
+    ASSERT_FALSE(prof.lanes.empty()) << "dop=" << dop;
+    uint64_t wait_sum = 0;
+    for (const WorkerLane& lane : prof.lanes) {
+      EXPECT_LE(lane.queue_wait_us, prof.wall_us)
+          << "dop=" << dop << " worker=" << lane.worker;
+      wait_sum += lane.queue_wait_us;
+    }
+    EXPECT_LE(wait_sum, prof.wall_us * prof.lanes.size()) << "dop=" << dop;
+  }
+}
+
 TEST_F(QueryProfileTest, JoinProfileRecordsBothSides) {
   const ObjectId dim =
       db_.CreateTable("dim", kDefaultTenant, Schema::WideTable(1, 1),
@@ -239,12 +277,10 @@ TEST_F(QueryProfileTest, JoinProfileRecordsBothSides) {
   }
   ASSERT_TRUE(db_.Commit(&txn).ok());
 
-  JoinQuery j;
-  j.left = table_;
-  j.right = dim;
-  j.left_column = 1;
-  j.right_column = 0;
-  const auto result = db_.Join(j);
+  MultiJoinQuery j;
+  j.fact = table_;
+  j.joins = {JoinEdge{dim, 1, 0, {}}};
+  const auto result = db_.MultiJoin(j);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->count, 10u);
 
@@ -367,7 +403,7 @@ TEST_F(StandbyProfileTest, StalenessGrowsWhileShippingPaused) {
 
   ScanQuery q;
   q.object = table_;
-  q.agg = AggKind::kCount;
+  q.aggregates = {{AggKind::kCount, 0}};
   const auto result = cluster_->standby()->Query(q);
   ASSERT_TRUE(result.ok());
   // The paused transport pins the standby's snapshot: only the first batch.

@@ -42,7 +42,7 @@ TEST_F(QueryTest, FilteredScan) {
 TEST_F(QueryTest, CountAggregate) {
   ScanQuery q;
   q.object = table_;
-  q.agg = AggKind::kCount;
+  q.aggregates = {{AggKind::kCount, 0}};
   const auto result = db_.Query(q);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->count, 100u);
@@ -52,16 +52,15 @@ TEST_F(QueryTest, CountAggregate) {
 TEST_F(QueryTest, SumMinMaxAggregates) {
   ScanQuery q;
   q.object = table_;
-  q.agg = AggKind::kSum;
-  q.agg_column = 0;
+  q.aggregates = {{AggKind::kSum, 0}};
   auto result = db_.Query(q);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->agg_int, 99 * 100 / 2);
   EXPECT_TRUE(result->agg_valid);
 
-  q.agg = AggKind::kMin;
+  q.aggregates = {{AggKind::kMin, 0}};
   EXPECT_EQ(db_.Query(q)->agg_int, 0);
-  q.agg = AggKind::kMax;
+  q.aggregates = {{AggKind::kMax, 0}};
   EXPECT_EQ(db_.Query(q)->agg_int, 99);
 }
 
@@ -69,8 +68,7 @@ TEST_F(QueryTest, AggregateOverEmptyResult) {
   ScanQuery q;
   q.object = table_;
   q.predicates = {{1, PredOp::kEq, Value(int64_t{12345})}};
-  q.agg = AggKind::kMax;
-  q.agg_column = 0;
+  q.aggregates = {{AggKind::kMax, 0}};
   const auto result = db_.Query(q);
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->agg_valid);
@@ -126,12 +124,11 @@ TEST_F(QueryTest, HashJoin) {
   }
   ASSERT_TRUE(db_.Commit(&txn).ok());
 
-  JoinQuery join;
-  join.left = table_;
-  join.right = dims;
-  join.left_column = 1;   // n1 in [0,10); only 0..3 match dims.
-  join.right_column = 0;  // gid.
-  const auto result = db_.Join(join);
+  MultiJoinQuery join;
+  join.fact = table_;
+  // n1 in [0,10); only 0..3 match dims' gid.
+  join.joins = {JoinEdge{dims, 1, 0, {}}};
+  const auto result = db_.MultiJoin(join);
   ASSERT_TRUE(result.ok());
   // Rows with n1 in {0,1,2,3}: 10 each → 40 joined rows.
   EXPECT_EQ(result->count, 40u);
@@ -156,14 +153,11 @@ TEST_F(QueryTest, JoinWithPredicates) {
                     .ok());
   }
   ASSERT_TRUE(db_.Commit(&txn).ok());
-  JoinQuery join;
-  join.left = table_;
-  join.right = dims;
-  join.left_column = 1;
-  join.right_column = 0;
-  join.left_predicates = {{0, PredOp::kLt, Value(int64_t{50})}};
-  join.right_predicates = {{0, PredOp::kEq, Value(int64_t{7})}};
-  const auto result = db_.Join(join);
+  MultiJoinQuery join;
+  join.fact = table_;
+  join.fact_predicates = {{0, PredOp::kLt, Value(int64_t{50})}};
+  join.joins = {JoinEdge{dims, 1, 0, {{0, PredOp::kEq, Value(int64_t{7})}}}};
+  const auto result = db_.MultiJoin(join);
   ASSERT_TRUE(result.ok());
   // n1 == 7 among ids 0..49 → 5 rows (7,17,27,37,47).
   EXPECT_EQ(result->count, 5u);
@@ -189,18 +183,16 @@ TEST_F(QueryTest, JoinForceRowStoreBypassesImcsOnBothSides) {
   ASSERT_TRUE(db_.PopulateNow(table_).ok());
   ASSERT_TRUE(db_.PopulateNow(dims).ok());
 
-  JoinQuery join;
-  join.left = table_;
-  join.right = dims;
-  join.left_column = 1;
-  join.right_column = 0;
-  const auto with_im = db_.Join(join);
+  MultiJoinQuery join;
+  join.fact = table_;
+  join.joins = {JoinEdge{dims, 1, 0, {}}};
+  const auto with_im = db_.MultiJoin(join);
   ASSERT_TRUE(with_im.ok());
   EXPECT_EQ(with_im->count, 40u);
   EXPECT_GT(with_im->stats.rows_from_imcs, 0u);
 
   join.force_row_store = true;
-  const auto forced = db_.Join(join);
+  const auto forced = db_.MultiJoin(join);
   ASSERT_TRUE(forced.ok());
   // The hint must cover the build side AND the probe side.
   EXPECT_EQ(forced->stats.rows_from_imcs, 0u);
@@ -215,8 +207,7 @@ TEST_F(QueryTest, ScanDopSweepIdenticalThroughQueryEngine) {
     ScanQuery q;
     q.object = table_;
     q.predicates = {{1, PredOp::kLt, Value(int64_t{5})}};
-    q.agg = agg;
-    q.agg_column = 0;
+    if (agg != AggKind::kNone) q.aggregates = {{agg, 0}};
     q.dop = 1;
     const auto base = db_.Query(q);
     ASSERT_TRUE(base.ok());
@@ -251,18 +242,16 @@ TEST_F(QueryTest, JoinDopSweepIdentical) {
   ASSERT_TRUE(db_.Commit(&txn).ok());
   ASSERT_TRUE(db_.PopulateNow(table_).ok());
 
-  JoinQuery join;
-  join.left = table_;
-  join.right = dims;
-  join.left_column = 1;
-  join.right_column = 0;
+  MultiJoinQuery join;
+  join.fact = table_;
+  join.joins = {JoinEdge{dims, 1, 0, {}}};
   join.dop = 1;
-  const auto base = db_.Join(join);
+  const auto base = db_.MultiJoin(join);
   ASSERT_TRUE(base.ok());
   EXPECT_EQ(base->count, 40u);
   for (const uint32_t dop : {2u, 8u}) {
     join.dop = dop;
-    const auto result = db_.Join(join);
+    const auto result = db_.MultiJoin(join);
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result->rows, base->rows) << "dop=" << dop;
     EXPECT_EQ(result->count, base->count) << "dop=" << dop;
@@ -285,11 +274,11 @@ TEST_F(QueryTest, QueryAtOldSnapshotSeesOldData) {
   EXPECT_EQ(db_.QueryAt(q, before)->count, 0u);
 }
 
-// Regression: the old ExecuteJoin built its probe-side scan with a null
-// expression registry, so a join predicate on a registered In-Memory
-// Expression virtual column was silently dropped (the probe rows simply had
-// no column at that index and nothing matched — or, worse, everything did).
-// Both join sides must resolve virtual columns exactly like plain scans.
+// Regression: a join's probe-side scan once ran with a null expression
+// registry, so a join predicate on a registered In-Memory Expression virtual
+// column was silently dropped (the probe rows simply had no column at that
+// index and nothing matched — or, worse, everything did). Both join sides
+// must resolve virtual columns exactly like plain scans.
 TEST_F(QueryTest, JoinHonorsVirtualColumnPredicates) {
   // Virtual column 3 = n1 * 2 on the fact table (WideTable(1, 1) has 3
   // schema columns).
@@ -315,21 +304,19 @@ TEST_F(QueryTest, JoinHonorsVirtualColumnPredicates) {
   }
   ASSERT_TRUE(db_.Commit(&txn).ok());
 
-  JoinQuery join;
-  join.left = table_;
-  join.right = dims;
-  join.left_column = 1;
-  join.right_column = 0;
+  MultiJoinQuery join;
+  join.fact = table_;
+  join.joins = {JoinEdge{dims, 1, 0, {}}};
   // n1 * 2 == 6 → n1 == 3 → 10 fact rows, each matching exactly one dims row.
-  join.left_predicates = {{3, PredOp::kEq, Value(int64_t{6})}};
-  const auto result = db_.Join(join);
+  join.fact_predicates = {{3, PredOp::kEq, Value(int64_t{6})}};
+  const auto result = db_.MultiJoin(join);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->count, 10u);
   for (const Row& row : result->rows) EXPECT_EQ(row[1].as_int(), 3);
 
   // Same contract on the forced row path.
   join.force_row_store = true;
-  const auto row_path = db_.Join(join);
+  const auto row_path = db_.MultiJoin(join);
   ASSERT_TRUE(row_path.ok());
   EXPECT_EQ(row_path->rows, result->rows);
 }
@@ -341,8 +328,7 @@ TEST_F(QueryTest, AggregateScanMaterializesNoRows) {
   for (const bool force_row : {false, true}) {
     ScanQuery q;
     q.object = table_;
-    q.agg = AggKind::kSum;
-    q.agg_column = 1;
+    q.aggregates = {{AggKind::kSum, 1}};
     q.force_row_store = force_row;
     const auto result = db_.Query(q);
     ASSERT_TRUE(result.ok());

@@ -59,7 +59,7 @@ TEST_F(RacTest, ImcsDistributedAcrossInstances) {
   // A scan merges both instances' stores and covers everything in-memory.
   ScanQuery q;
   q.object = table_;
-  q.agg = AggKind::kCount;
+  q.aggregates = {{AggKind::kCount, 0}};
   const auto result = cluster_.standby()->Query(q);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->count, static_cast<uint64_t>(next_id_));
@@ -107,7 +107,7 @@ TEST_F(RacTest, RemoteInstancePublishesItsOwnQueryScn) {
   // Queries served by the non-master instance's service are consistent too.
   ScanQuery q;
   q.object = table_;
-  q.agg = AggKind::kCount;
+  q.aggregates = {{AggKind::kCount, 0}};
   const auto remote_result = cluster_.standby()->Query(q, /*instance=*/1);
   ASSERT_TRUE(remote_result.ok());
   const auto primary_at = cluster_.primary()->QueryAt(q, remote_result->snapshot);
@@ -121,7 +121,7 @@ TEST_F(RacTest, TwoPrimaryThreadsMergeCleanly) {
   cluster_.WaitForCatchup();
   ScanQuery q;
   q.object = table_;
-  q.agg = AggKind::kCount;
+  q.aggregates = {{AggKind::kCount, 0}};
   EXPECT_EQ(cluster_.standby()->Query(q)->count, 400u);
 }
 

@@ -39,7 +39,7 @@ void Load(AdgCluster* cluster, ObjectId table, int64_t* next_id, int n) {
 uint64_t CountRows(StandbyDb* standby, ObjectId table) {
   ScanQuery q;
   q.object = table;
-  q.agg = AggKind::kCount;
+  q.aggregates = {{AggKind::kCount, 0}};
   const auto result = standby->Query(q);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return result.ok() ? result->count : 0;

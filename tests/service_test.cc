@@ -57,7 +57,7 @@ TEST_F(ServiceTest, ValidationRules) {
 TEST_F(ServiceTest, QueriesRouteByService) {
   ScanQuery q;
   q.object = table_;
-  q.agg = AggKind::kCount;
+  q.aggregates = {{AggKind::kCount, 0}};
   // All three services answer the read, from their respective databases.
   for (const char* name : {"standby_only", "primary_only", "primary_and_standby"}) {
     const auto result = services_.Query(name, q);
@@ -115,7 +115,7 @@ TEST(ServiceFallbackTest, SpanningServiceFallsBackToPrimary) {
 
   ScanQuery q;
   q.object = table;
-  q.agg = AggKind::kCount;
+  q.aggregates = {{AggKind::kCount, 0}};
   const auto spanning = services.Query("primary_and_standby", q);
   ASSERT_TRUE(spanning.ok());
   EXPECT_EQ(spanning->count, 1u);
