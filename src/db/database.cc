@@ -1533,14 +1533,20 @@ void AdgCluster::StartShippers() {
   if (shipping.channel.registry == nullptr) {
     shipping.channel.registry = registry_;  // Wire latency histograms.
   }
+  std::vector<std::unique_ptr<LogShipper>> shippers;
   for (int i = 0; i < primary_.redo_threads(); ++i) {
-    shippers_.push_back(std::make_unique<LogShipper>(
+    shippers.push_back(std::make_unique<LogShipper>(
         primary_.redo_log(i), standby_.stream(i), shipping));
-    shippers_.back()->Start();
+    shippers.back()->Start();
+  }
+  {
+    std::lock_guard<std::mutex> g(shippers_mu_);
+    shippers_ = std::move(shippers);
   }
   shipper_metrics_cb_.Attach(registry_, [this](obs::MetricsSink* sink) {
     const obs::Labels labels{{"role", "transport"}};
     uint64_t bytes = 0, records = 0;
+    std::lock_guard<std::mutex> g(shippers_mu_);
     for (const auto& s : shippers_) {
       bytes += s->bytes_shipped();
       records += s->records_shipped();
@@ -1554,12 +1560,23 @@ void AdgCluster::StartShippers() {
 void AdgCluster::StopShippers() {
   // The metrics callback detaches first so no scrape touches a dying channel.
   shipper_metrics_cb_.Reset();
-  for (auto& s : shippers_) s->Stop();
-  shippers_.clear();
+  std::vector<std::unique_ptr<LogShipper>> shippers;
+  {
+    std::lock_guard<std::mutex> g(shippers_mu_);
+    shippers.swap(shippers_);
+  }
+  for (auto& s : shippers) s->Stop();
 }
 
 void AdgCluster::SetShippingPaused(bool paused) {
+  std::lock_guard<std::mutex> g(shippers_mu_);
   for (auto& s : shippers_) s->set_paused(paused);
+}
+
+void AdgCluster::VisitShippers(
+    const std::function<void(const LogShipper&)>& visit) const {
+  std::lock_guard<std::mutex> g(shippers_mu_);
+  for (const auto& s : shippers_) visit(*s);
 }
 
 Status AdgCluster::RestartStandby(RestartMode mode) {
@@ -1620,6 +1637,7 @@ Scn AdgCluster::WaitForCatchup(int64_t timeout_us) {
 
 uint64_t AdgCluster::shipped_bytes() const {
   uint64_t total = 0;
+  std::lock_guard<std::mutex> g(shippers_mu_);
   for (const auto& s : shippers_) total += s->bytes_shipped();
   return total;
 }

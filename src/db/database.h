@@ -1,6 +1,7 @@
 #ifndef STRATUS_DB_DATABASE_H_
 #define STRATUS_DB_DATABASE_H_
 
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -646,9 +647,14 @@ class AdgCluster {
   std::string MetricsJson() const;
   /// The cluster's standing lag monitor (non-null between Start and Stop).
   obs::LagMonitor* lag_monitor() { return lag_monitor_.get(); }
-  /// Redo-transport introspection for the v$transport view (valid between
-  /// Start and Stop, like lag_monitor()).
-  size_t shipper_count() const { return shippers_.size(); }
+  /// Redo-transport introspection for the v$transport view: calls `visit`
+  /// with each redo shipper in stream order, under the lock a from-disk
+  /// RestartStandby takes to replace them (safe from any thread; `visit`
+  /// must not call back into the cluster).
+  void VisitShippers(const std::function<void(const LogShipper&)>& visit) const;
+  /// Stream `i`'s shipper (valid between Start and Stop). Not safe across a
+  /// from-disk RestartStandby, which destroys and replaces every shipper;
+  /// use VisitShippers where a restart may race.
   const LogShipper* shipper(size_t i) const { return shippers_[i].get(); }
   /// Fault injection: pause/resume every redo shipper (transport lag
   /// accumulates while paused; Stop() still drains).
@@ -669,6 +675,11 @@ class AdgCluster {
   PrimaryDb primary_;
   StandbyDb standby_;
   std::vector<std::unique_ptr<LogShipper>> shippers_;
+  /// Guards `shippers_`: a from-disk restart swaps it while scrapes read it.
+  /// Held only to move or read the vector, never across shipper
+  /// construction, Start, Stop or destruction (channels register with the
+  /// metrics registry, whose scrape takes this lock).
+  mutable std::mutex shippers_mu_;
   bool started_ = false;
 
   obs::MetricsRegistry* registry_ = nullptr;

@@ -284,16 +284,15 @@ VStandbyApplyRow CollectVStandbyApply(StandbyDb* standby,
 std::vector<VTransportRow> CollectVTransport(AdgCluster* cluster) {
   std::vector<VTransportRow> rows;
   if (cluster == nullptr) return rows;
-  for (size_t i = 0; i < cluster->shipper_count(); ++i) {
-    const LogShipper* shipper = cluster->shipper(i);
+  cluster->VisitShippers([&rows](const LogShipper& shipper) {
     VTransportRow row;
-    row.channel = shipper->channel()->options().name;
-    row.paused = shipper->paused();
-    row.records_shipped = shipper->records_shipped();
-    row.last_shipped_scn = shipper->last_shipped_scn();
-    row.stats = shipper->channel()->stats();
+    row.channel = shipper.channel()->options().name;
+    row.paused = shipper.paused();
+    row.records_shipped = shipper.records_shipped();
+    row.last_shipped_scn = shipper.last_shipped_scn();
+    row.stats = shipper.channel()->stats();
     rows.push_back(std::move(row));
-  }
+  });
   return rows;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <unordered_map>
 #include <utility>
 
@@ -14,37 +15,12 @@ namespace stratus {
 namespace {
 
 constexpr size_t kBatchRows = 1024;
+/// Match pairs per join fold partial: fixed, so the split never depends on
+/// DOP.
+constexpr size_t kJoinFoldPairs = 4096;
 
-/// FNV-style combine over a group-key tuple; NULL, int, and string values
-/// hash by (type tag, payload) so distinct-typed keys land in distinct
-/// groups just as Value::operator== separates them.
-struct RowHasher {
-  size_t operator()(const Row& key) const {
-    size_t h = 0x9e3779b97f4a7c15ULL ^ key.size();
-    for (const Value& v : key) {
-      size_t x = static_cast<size_t>(v.type());
-      switch (v.type()) {
-        case ValueType::kNull: break;
-        case ValueType::kInt:
-          x ^= std::hash<int64_t>{}(v.as_int());
-          break;
-        case ValueType::kString:
-          x ^= std::hash<std::string>{}(v.as_string());
-          break;
-      }
-      h ^= x + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    }
-    return h;
-  }
-};
-
-/// Drains every batch of `op` into `rows` (moving rows out of the batches).
-void DrainInto(Operator* op, std::vector<Row>* rows) {
-  std::vector<Row> batch;
-  while (op->NextBatch(&batch)) {
-    rows->reserve(rows->size() + batch.size());
-    for (Row& r : batch) rows->push_back(std::move(r));
-  }
+ThreadPool* PoolOf(const ExecContext& ec) {
+  return ec.ctx->pool != nullptr ? ec.ctx->pool : ThreadPool::Shared();
 }
 
 // ---------------------------------------------------------------------------
@@ -52,10 +28,10 @@ void DrainInto(Operator* op, std::vector<Row>* rows) {
 // ---------------------------------------------------------------------------
 
 /// Runs the scan engine over one table in Open (a leaf is always a pipeline
-/// source) and hands the buffered batches out through NextBatch. Carries the
-/// planner's access-path choice: the IMCS path consults the context's column
-/// stores, the row path passes none — the same mechanism the old
-/// force_row_store boolean used, now decided per table.
+/// source) and hands the buffered batches out through NextBatch — or, under
+/// an aggregate, folds every match into the aggregate's GroupFold inside the
+/// scan tasks. Carries the planner's access-path choice: the IMCS path
+/// consults the context's column stores, the row path passes none.
 class ScanOperator : public Operator {
  public:
   explicit ScanOperator(const PlanNode& node)
@@ -65,6 +41,36 @@ class ScanOperator : public Operator {
         pushdown_(node.pushdown) {}
 
   Status Open(ExecContext* ec) override {
+    if (pushdown_.kind == AggKind::kNone) return Run(ec, nullptr);
+    // A lone ungrouped aggregate is the zero-key, one-aggregate fold.
+    GroupFold fold({}, {AggSpec{pushdown_.kind, pushdown_.column}});
+    const Status st = Run(ec, &fold);
+    has_agg = true;
+    first_agg_kind = pushdown_.kind;
+    first_agg = fold.Ungrouped(0);
+    agg_overflow = first_agg.overflow;
+    input_matches = first_agg.count;
+    return st;
+  }
+
+  Status OpenFolded(ExecContext* ec, GroupFold* fold,
+                    OperatorStage* agg) override {
+    agg->fold = "scan";
+    return Run(ec, fold);
+  }
+
+  bool NextBatch(std::vector<Row>* batch) override {
+    const uint64_t t0 = NowMicros();
+    batch->clear();
+    const bool more = next_ < batches_.size();
+    if (more) *batch = std::move(batches_[next_++]);
+    stage.elapsed_us += NowMicros() - t0;
+    return more;
+  }
+
+ private:
+  /// Scans the table into batches_, or into `fold` when non-null.
+  Status Run(ExecContext* ec, GroupFold* fold) {
     const QueryContext& ctx = *ec->ctx;
     Table* table = ctx.table_lookup(object_);
     if (table == nullptr) return Status::NotFound("no table object");
@@ -91,37 +97,31 @@ class ScanOperator : public Operator {
     const uint64_t start_us = NowMicros();
     const uint64_t cpu0_ns = ThreadCpuNanos();
 
-    const bool pushdown = pushdown_.kind != AggKind::kNone;
-    AggState agg_state;
+    uint64_t rows_out = 0;
     ScanProfile local_profile;
     ScanOptions options;
     options.dop = ec->dop;
     options.pool = ctx.pool;
     options.profile = &local_profile;
     options.batch_rows = kBatchRows;
-    if (!pushdown) {
-      options.batch_sink = [this](std::vector<Row>&& batch) {
-        rows_out_ += batch.size();
+    options.fold = fold;
+    if (fold == nullptr) {
+      options.batch_sink = [this, &rows_out](std::vector<Row>&& batch) {
+        rows_out += batch.size();
         batches_.push_back(std::move(batch));
       };
     }
-    const RowSink null_sink = [](const Row&) {};
+    const uint64_t folded0 = fold != nullptr ? fold->rows() : 0;
     const Status st = ec->engine->Scan(
-        *table, predicates_, *ec->view, stores, *ctx.cache, null_sink,
-        &stage.scan, /*needs_rows=*/!pushdown,
-        exprs.empty() ? nullptr : &exprs, pushdown ? pushdown_ : ScanAggregate{},
-        pushdown ? &agg_state : nullptr, options);
+        *table, predicates_, *ec->view, stores, *ctx.cache,
+        [](const Row&) {}, &stage.scan, /*needs_rows=*/true,
+        exprs.empty() ? nullptr : &exprs, ScanAggregate{}, nullptr, options);
 
-    stage.rows_out = rows_out_;
+    const uint64_t matches =
+        fold != nullptr ? fold->rows() - folded0 : rows_out;
+    stage.rows_out = matches;
     const uint64_t end_us = NowMicros();
     stage.elapsed_us = end_us > start_us ? end_us - start_us : 0;
-    if (pushdown) {
-      has_agg = true;
-      first_agg_kind = pushdown_.kind;
-      first_agg = agg_state;
-      agg_overflow = agg_state.overflow;
-      input_matches = agg_state.count;
-    }
     if (ec->scan_profile != nullptr) {
       ec->scan_profile->tasks.insert(ec->scan_profile->tasks.end(),
                                      local_profile.tasks.begin(),
@@ -136,8 +136,8 @@ class ScanOperator : public Operator {
       side.snapshot = ec->snapshot;
       side.scan = stage.scan;
       side.stages.push_back(stage);
-      side.rows_returned = rows_out_;
-      side.matches = pushdown ? agg_state.count : rows_out_;
+      side.rows_returned = rows_out;
+      side.matches = matches;
       side.dop = static_cast<uint32_t>(ec->dop);
       side.lanes = RollupLanes(local_profile);
       side.commit_lookups =
@@ -151,16 +151,6 @@ class ScanOperator : public Operator {
     return st;
   }
 
-  bool NextBatch(std::vector<Row>* batch) override {
-    batch->clear();
-    if (next_ >= batches_.size()) return false;
-    *batch = std::move(batches_[next_]);
-    batches_[next_].clear();
-    ++next_;
-    return true;
-  }
-
- private:
   const ObjectId object_;
   const std::vector<Predicate> predicates_;
   const AccessPathChoice access_;
@@ -168,7 +158,6 @@ class ScanOperator : public Operator {
 
   std::vector<std::vector<Row>> batches_;
   size_t next_ = 0;
-  uint64_t rows_out_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -243,11 +232,11 @@ class ProjectOperator : public Operator {
 // Hash aggregate (GROUP BY)
 // ---------------------------------------------------------------------------
 
-/// Pipeline breaker: drains the child in Open, folds batches into per-worker
-/// partial group maps on the thread pool, merges partials in worker order,
-/// and emits one row per group — key values ++ aggregate values — sorted by
-/// key tuple. Every fold (COUNT increment, MIN/MAX lattice, exact-128-bit
-/// SUM) is order-independent, so the result is byte-identical at any DOP.
+/// Pipeline breaker: folds its whole input into one GroupFold in Open —
+/// wherever the child can fold it (OpenFolded) — then emits one row per
+/// group — key values ++ aggregate values — sorted by key tuple. Every fold
+/// (COUNT increment, MIN/MAX lattice, exact-128-bit SUM) is order-
+/// independent, so the result is byte-identical at any DOP and on any path.
 class HashAggregateOperator : public Operator {
  public:
   explicit HashAggregateOperator(const PlanNode& node)
@@ -255,68 +244,24 @@ class HashAggregateOperator : public Operator {
 
   Status Open(ExecContext* ec) override {
     stage.op = "hash_agg";
-    const Status st = children_[0]->Open(ec);
+    GroupFold fold(group_by_, specs_);
+    const Status st = children_[0]->OpenFolded(ec, &fold, &stage);
     if (!st.ok()) return st;
-
-    std::vector<std::vector<Row>> batches;
-    {
-      std::vector<Row> batch;
-      while (children_[0]->NextBatch(&batch)) {
-        stage.rows_in += batch.size();
-        batches.push_back(std::move(batch));
-      }
-    }
     const uint64_t t0 = NowMicros();
-
-    using GroupMap =
-        std::unordered_map<Row, std::vector<AggState>, RowHasher>;
-    const size_t dop = std::max<size_t>(1, ec->dop);
-    const size_t workers = std::min(dop, std::max<size_t>(1, batches.size()));
-    std::vector<GroupMap> partials(workers);
-    if (workers <= 1) {
-      for (const auto& batch : batches) FoldBatch(batch, &partials[0]);
-    } else {
-      // Fixed batch→worker assignment (round-robin by batch index) keeps the
-      // partials a function of the input split, not of scheduling; the merge
-      // below runs in worker order, and the folds themselves are
-      // order-independent anyway.
-      ThreadPool* pool =
-          ec->ctx->pool != nullptr ? ec->ctx->pool : ThreadPool::Shared();
-      pool->ParallelFor(workers, workers, [&](size_t w) {
-        for (size_t b = w; b < batches.size(); b += workers)
-          FoldBatch(batches[b], &partials[w]);
-      });
-    }
-    GroupMap groups = std::move(partials[0]);
-    for (size_t w = 1; w < partials.size(); ++w) {
-      for (auto& [key, states] : partials[w]) {
-        auto it = groups.find(key);
-        if (it == groups.end()) {
-          groups.emplace(std::move(key), std::move(states));
-        } else {
-          for (size_t i = 0; i < specs_.size(); ++i)
-            it->second[i].Merge(specs_[i].kind, states[i]);
-        }
-      }
-    }
+    stage.rows_in = fold.rows();
+    std::vector<std::pair<Row, std::vector<AggState>>> groups =
+        fold.TakeSorted();
     // SQL semantics for an ungrouped aggregate over zero rows: one output
     // row (COUNT = 0, SUM/MIN/MAX = NULL). Grouped: zero groups.
     if (group_by_.empty() && groups.empty())
-      groups.emplace(Row{}, std::vector<AggState>(specs_.size()));
+      groups.emplace_back(Row{}, std::vector<AggState>(specs_.size()));
 
-    // Deterministic output: groups sorted by key tuple (Value's total order).
-    std::vector<const std::pair<const Row, std::vector<AggState>>*> sorted;
-    sorted.reserve(groups.size());
-    for (const auto& entry : groups) sorted.push_back(&entry);
-    std::sort(sorted.begin(), sorted.end(),
-              [](const auto* a, const auto* b) { return a->first < b->first; });
-
-    rows_.reserve(sorted.size());
-    for (const auto* entry : sorted) {
-      Row out = entry->first;
+    rows_.reserve(groups.size());
+    for (auto& [key, states] : groups) {
+      Row out = std::move(key);
       out.reserve(out.size() + specs_.size());
       for (size_t i = 0; i < specs_.size(); ++i) {
-        const AggState& st_i = entry->second[i];
+        const AggState& st_i = states[i];
         if (specs_[i].kind == AggKind::kCount) {
           out.push_back(Value(static_cast<int64_t>(st_i.count)));
         } else {
@@ -328,53 +273,31 @@ class HashAggregateOperator : public Operator {
       rows_.push_back(std::move(out));
     }
 
-    stage.groups = sorted.size();
+    stage.groups = groups.size();
     stage.rows_out = rows_.size();
-    stage.elapsed_us = NowMicros() - t0;
     has_agg = true;
     input_matches = stage.rows_in;
-    if (group_by_.empty() && !specs_.empty()) {
+    if (group_by_.empty()) {
       // Ungrouped: mirror the first aggregate into the legacy result fields.
       first_agg_kind = specs_[0].kind;
-      first_agg = groups.begin()->second[0];
+      first_agg = groups[0].second[0];
     }
+    stage.elapsed_us += NowMicros() - t0;
     return Status::OK();
   }
 
   bool NextBatch(std::vector<Row>* batch) override {
+    const uint64_t t0 = NowMicros();
     batch->clear();
-    if (next_ >= rows_.size()) return false;
+    const bool more = next_ < rows_.size();
     const size_t end = std::min(rows_.size(), next_ + kBatchRows);
     batch->reserve(end - next_);
     for (; next_ < end; ++next_) batch->push_back(std::move(rows_[next_]));
-    return true;
+    stage.elapsed_us += NowMicros() - t0;
+    return more;
   }
 
  private:
-  void FoldBatch(const std::vector<Row>& batch,
-                 std::unordered_map<Row, std::vector<AggState>, RowHasher>*
-                     groups) const {
-    Row key;
-    for (const Row& row : batch) {
-      key.clear();
-      key.reserve(group_by_.size());
-      for (uint32_t g : group_by_)
-        key.push_back(g < row.size() ? row[g] : Value());
-      auto it = groups->find(key);
-      if (it == groups->end()) {
-        it = groups->emplace(key, std::vector<AggState>(specs_.size())).first;
-      }
-      for (size_t i = 0; i < specs_.size(); ++i) {
-        AggState& st = it->second[i];
-        ++st.count;
-        if (specs_[i].kind == AggKind::kCount) continue;
-        if (specs_[i].column >= row.size()) continue;
-        const Value& v = row[specs_[i].column];
-        if (v.type() == ValueType::kInt) st.Fold(specs_[i].kind, v.as_int());
-      }
-    }
-  }
-
   const std::vector<uint32_t> group_by_;
   const std::vector<AggSpec> specs_;
 
@@ -390,21 +313,68 @@ class HashAggregateOperator : public Operator {
 /// whichever side is smaller, and emits matches in canonical
 /// (probe-input order, joinee order) — so the build-side choice (and DOP,
 /// and each side's access path) never changes the output bytes. Output rows
-/// are always probe ++ joinee, whatever side was hashed. NULL and non-int
-/// join keys never match (SQL equi-join semantics).
+/// are always probe ++ joinee, whatever side was hashed; under an aggregate
+/// the match pairs fold as that layout without building the rows. NULL and
+/// non-int join keys never match (SQL equi-join semantics).
 class HashJoinOperator : public Operator {
  public:
   explicit HashJoinOperator(const PlanNode& node)
       : probe_column_(node.probe_column), build_column_(node.build_column) {}
 
-  Status Open(ExecContext* ec) override {
+  Status Open(ExecContext* ec) override { return Join(ec); }
+
+  Status OpenFolded(ExecContext* ec, GroupFold* fold,
+                    OperatorStage* agg) override {
+    agg->fold = "join";
+    const Status st = Join(ec);
+    if (!st.ok()) return st;
+    const uint64_t t0 = NowMicros();
+    // Fixed contiguous chunks of pairs, one partial each, merged in chunk
+    // order.
+    const size_t chunks = (pairs_.size() + kJoinFoldPairs - 1) / kJoinFoldPairs;
+    std::vector<GroupFold> partials;
+    partials.reserve(chunks);
+    for (size_t c = 0; c < chunks; ++c) partials.push_back(fold->Partial());
+    PoolOf(*ec)->ParallelFor(chunks, ec->dop, [&](size_t c) {
+      const size_t end = std::min(pairs_.size(), (c + 1) * kJoinFoldPairs);
+      for (size_t i = c * kJoinFoldPairs; i < end; ++i)
+        partials[c].FoldJoined(left_rows_[pairs_[i].first],
+                               right_rows_[pairs_[i].second]);
+    });
+    for (GroupFold& partial : partials) fold->Merge(std::move(partial));
+    stage.elapsed_us += NowMicros() - t0;
+    return Status::OK();
+  }
+
+  bool NextBatch(std::vector<Row>* batch) override {
+    const uint64_t t0 = NowMicros();
+    batch->clear();
+    const bool more = next_ < pairs_.size();
+    const size_t end = std::min(pairs_.size(), next_ + kBatchRows);
+    batch->reserve(end - next_);
+    for (; next_ < end; ++next_) {
+      const Row& l = left_rows_[pairs_[next_].first];
+      const Row& r = right_rows_[pairs_[next_].second];
+      Row joined;
+      joined.reserve(l.size() + r.size());
+      joined.insert(joined.end(), l.begin(), l.end());
+      joined.insert(joined.end(), r.begin(), r.end());
+      batch->push_back(std::move(joined));
+    }
+    stage.elapsed_us += NowMicros() - t0;
+    return more;
+  }
+
+ private:
+  /// Opens and drains both children, then builds and probes into pairs_.
+  Status Join(ExecContext* ec) {
     stage.op = "hash_join";
     Status st = children_[0]->Open(ec);
     if (!st.ok()) return st;
     st = children_[1]->Open(ec);
     if (!st.ok()) return st;
-    DrainInto(children_[0].get(), &left_rows_);
-    DrainInto(children_[1].get(), &right_rows_);
+    DrainInto(children_[0].get(), &left_rows_, &stage.elapsed_us);
+    DrainInto(children_[1].get(), &right_rows_, &stage.elapsed_us);
     const uint64_t t0 = NowMicros();
     stage.rows_in = left_rows_.size() + right_rows_.size();
 
@@ -445,28 +415,10 @@ class HashJoinOperator : public Operator {
       std::sort(pairs_.begin(), pairs_.end());
     }
     stage.rows_out = pairs_.size();
-    stage.elapsed_us = NowMicros() - t0;
+    stage.elapsed_us += NowMicros() - t0;
     return Status::OK();
   }
 
-  bool NextBatch(std::vector<Row>* batch) override {
-    batch->clear();
-    if (next_ >= pairs_.size()) return false;
-    const size_t end = std::min(pairs_.size(), next_ + kBatchRows);
-    batch->reserve(end - next_);
-    for (; next_ < end; ++next_) {
-      const Row& l = left_rows_[pairs_[next_].first];
-      const Row& r = right_rows_[pairs_[next_].second];
-      Row joined;
-      joined.reserve(l.size() + r.size());
-      joined.insert(joined.end(), l.begin(), l.end());
-      joined.insert(joined.end(), r.begin(), r.end());
-      batch->push_back(std::move(joined));
-    }
-    return true;
-  }
-
- private:
   const uint32_t probe_column_;
   const uint32_t build_column_;
 
@@ -493,6 +445,46 @@ std::unique_ptr<Operator> MakeOperator(const PlanNode& node) {
 }
 
 }  // namespace
+
+Status Operator::OpenFolded(ExecContext* ec, GroupFold* fold,
+                            OperatorStage* agg) {
+  agg->fold = "rows";
+  const Status st = Open(ec);
+  if (!st.ok()) return st;
+  std::vector<std::vector<Row>> batches;
+  std::vector<Row> batch;
+  while (NextBatch(&batch)) batches.push_back(std::move(batch));
+  const uint64_t t0 = NowMicros();
+  // Fixed batch→worker assignment (round-robin by batch index) keeps the
+  // partials a function of the input split, not of scheduling; they merge in
+  // worker order.
+  const size_t workers = std::min(std::max<size_t>(1, ec->dop),
+                                  std::max<size_t>(1, batches.size()));
+  std::vector<GroupFold> partials;
+  partials.reserve(workers);
+  for (size_t w = 0; w < workers; ++w) partials.push_back(fold->Partial());
+  PoolOf(*ec)->ParallelFor(workers, workers, [&](size_t w) {
+    for (size_t b = w; b < batches.size(); b += workers)
+      for (const Row& row : batches[b]) partials[w].FoldRow(row);
+  });
+  for (GroupFold& partial : partials) fold->Merge(std::move(partial));
+  agg->elapsed_us += NowMicros() - t0;
+  return Status::OK();
+}
+
+void DrainInto(Operator* op, std::vector<Row>* rows, uint64_t* elapsed_us) {
+  std::vector<Row> batch;
+  while (op->NextBatch(&batch)) {
+    const uint64_t t0 = NowMicros();
+    if (rows->empty()) {
+      *rows = std::move(batch);  // Take the first buffer whole.
+    } else {
+      rows->insert(rows->end(), std::make_move_iterator(batch.begin()),
+                   std::make_move_iterator(batch.end()));
+    }
+    *elapsed_us += NowMicros() - t0;
+  }
+}
 
 void Operator::CollectStages(std::vector<OperatorStage>* out) const {
   for (const auto& child : children_) child->CollectStages(out);

@@ -41,14 +41,26 @@ struct ExecContext {
 /// executes) the subtree; NextBatch moves the next batch of output rows into
 /// `*batch` (cleared first) and returns false when exhausted. All calls
 /// happen on the query's calling thread; parallelism lives *inside*
-/// operators (scan leaves fan out per-IMCU tasks, the aggregate folds
-/// batches in parallel), so the tree needs no cross-operator locking.
+/// operators (scan leaves fan out per-IMCU tasks, folds run partials in
+/// parallel), so the tree needs no cross-operator locking. Each operator
+/// times its own Open and NextBatch work (never its children's) into its
+/// stage, so stage times never overlap.
 class Operator {
  public:
   virtual ~Operator() = default;
 
   virtual Status Open(ExecContext* ec) = 0;
   virtual bool NextBatch(std::vector<Row>* batch) = 0;
+
+  /// How an aggregate consumes its input: Open this subtree with every
+  /// output row folded into `fold` instead of handed out through NextBatch.
+  /// Records where the fold ran in `agg->fold`: "scan" (a scan leaf folds
+  /// each IMCU's matches on their codes inside its scan tasks), "join" (a
+  /// hash join folds its match pairs as the joined layout) or "rows" (this
+  /// default: drain NextBatch and fold the materialized rows in round-robin
+  /// batch partials, timed into `agg`).
+  virtual Status OpenFolded(ExecContext* ec, GroupFold* fold,
+                            OperatorStage* agg);
 
   /// Appends this subtree's stages depth-first, leaves first (the order
   /// EXPLAIN prints them).
@@ -76,6 +88,10 @@ class Operator {
 
 /// Builds the executable operator tree for a plan subtree.
 std::unique_ptr<Operator> BuildOperatorTree(const PlanNode& node);
+
+/// Drains every batch of `op` into `rows` by move, timing the moves into
+/// `*elapsed_us` (`op` times its own NextBatch).
+void DrainInto(Operator* op, std::vector<Row>* rows, uint64_t* elapsed_us);
 
 }  // namespace stratus
 

@@ -15,13 +15,6 @@ namespace stratus {
 struct MultiJoinQuery;
 struct QueryContext;
 
-/// One aggregate of a grouped (or multi-aggregate) query: which fold over
-/// which column (schema or In-Memory-Expression virtual column).
-struct AggSpec {
-  AggKind kind = AggKind::kCount;
-  uint32_t column = 0;  ///< Ignored for kCount.
-};
-
 /// Planner knobs, threaded from DatabaseOptions into every QueryContext.
 struct PlannerOptions {
   /// SMU invalidity ratio (invalid rows / rows under ready IMCUs) at or above
@@ -91,8 +84,8 @@ struct PlanNode {
   /// conjuncts evaluated over the child's output layout.
   std::vector<Predicate> predicates;
   /// kScan only: single ungrouped aggregate folded inside the scan engine's
-  /// workers (the [11] push-down) — the tree then has no aggregate node and
-  /// the scan materializes nothing.
+  /// workers (the [11] push-down, the zero-key GroupFold) — the tree then has
+  /// no aggregate node and the scan materializes nothing.
   ScanAggregate pushdown;
 
   // kProject.

@@ -81,13 +81,8 @@ StatusOr<QueryResult> QueryEngine::ExecutePlan(const QueryContext& ctx,
   QueryResult result;
   result.snapshot = snapshot;
   const Status exec_status = root->Open(&ec);
-  if (exec_status.ok()) {
-    std::vector<Row> batch;
-    while (root->NextBatch(&batch)) {
-      result.rows.reserve(result.rows.size() + batch.size());
-      for (Row& row : batch) result.rows.push_back(std::move(row));
-    }
-  }
+  uint64_t assembly_us = 0;
+  if (exec_status.ok()) DrainInto(root.get(), &result.rows, &assembly_us);
 
   // Engine accounting rolls up across every scan leaf; build-side leaves
   // also count as standalone scans in the lifetime totals (they logged their
@@ -95,7 +90,9 @@ StatusOr<QueryResult> QueryEngine::ExecutePlan(const QueryContext& ctx,
   std::vector<OperatorStage> stages;
   root->CollectStages(&stages);
   uint64_t side_scans = 0;
+  uint64_t staged_us = 0;
   for (const OperatorStage& s : stages) {
+    staged_us += s.elapsed_us;
     if (s.op != "scan") continue;
     result.stats.Add(s.scan);
     if (s.object != plan.object) ++side_scans;
@@ -118,6 +115,12 @@ StatusOr<QueryResult> QueryEngine::ExecutePlan(const QueryContext& ctx,
   prof.lanes = RollupLanes(scan_profile);
   prof.commit_lookups = resolver.count();
   timer.Finish(&prof);
+  // Stages time only their own work on this thread, so they never overlap
+  // each other or the assembly, and their sum stays within the wall time.
+  prof.assembly_us = assembly_us;
+  const uint64_t attributed = staged_us + assembly_us;
+  prof.unattributed_us =
+      prof.wall_us > attributed ? prof.wall_us - attributed : 0;
   if (ctx.annotate) ctx.annotate(&prof);
   if (ctx.slow_log != nullptr) ctx.slow_log->End(qid, prof);
   if (!exec_status.ok()) return exec_status;

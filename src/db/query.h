@@ -20,8 +20,8 @@
 
 namespace stratus {
 
-// AggKind lives in imcs/scan_engine.h (aggregation push-down folds inside
-// the scan engine's workers); re-exported here for query authors.
+// AggKind and AggSpec live in imcs/group_fold.h (aggregates fold inside the
+// scan engine's workers); re-exported here for query authors.
 
 /// A filtered full-table scan, the query shape of the paper's evaluation
 /// (Table 1: `SELECT * FROM t WHERE n1 = :1` / `WHERE c1 = :2`) — widened

@@ -72,7 +72,10 @@ std::string OperatorStage::ToJson() const {
   }
   out += ",\"rows_in\":" + std::to_string(rows_in);
   out += ",\"rows_out\":" + std::to_string(rows_out);
-  if (op == "hash_agg") out += ",\"groups\":" + std::to_string(groups);
+  if (op == "hash_agg") {
+    out += ",\"groups\":" + std::to_string(groups);
+    out += ",\"fold\":\"" + JsonEscape(fold) + "\"";
+  }
   if (op == "hash_join") {
     out += ",\"build_rows\":" + std::to_string(build_rows);
     out += ",\"probe_rows\":" + std::to_string(probe_rows);
@@ -111,8 +114,9 @@ std::string QueryProfile::Explain() const {
                     static_cast<unsigned long long>(s.elapsed_us));
     } else if (s.op == "hash_agg") {
       std::snprintf(line, sizeof(line),
-                    "  op hash_agg: %llu rows in, %llu groups, %llu us\n",
-                    static_cast<unsigned long long>(s.rows_in),
+                    "  op hash_agg fold=%s: %llu rows in, %llu groups, "
+                    "%llu us\n",
+                    s.fold.c_str(), static_cast<unsigned long long>(s.rows_in),
                     static_cast<unsigned long long>(s.groups),
                     static_cast<unsigned long long>(s.elapsed_us));
     } else {
@@ -180,8 +184,12 @@ std::string QueryProfile::Explain() const {
                   static_cast<long long>(staleness_us));
     out += line;
   }
-  std::snprintf(line, sizeof(line), "  time: %llu us wall, %llu us caller cpu\n",
+  std::snprintf(line, sizeof(line),
+                "  time: %llu us wall (%llu us assembly, %llu us "
+                "unattributed), %llu us caller cpu\n",
                 static_cast<unsigned long long>(wall_us),
+                static_cast<unsigned long long>(assembly_us),
+                static_cast<unsigned long long>(unattributed_us),
                 static_cast<unsigned long long>(caller_cpu_us));
   out += line;
   return out;
@@ -242,6 +250,8 @@ std::string QueryProfile::ToJson() const {
   }
   out += ",\"started_at_us\":" + std::to_string(started_at_us);
   out += ",\"wall_us\":" + std::to_string(wall_us);
+  out += ",\"assembly_us\":" + std::to_string(assembly_us);
+  out += ",\"unattributed_us\":" + std::to_string(unattributed_us);
   out += ",\"caller_cpu_us\":" + std::to_string(caller_cpu_us);
   out += "}";
   return out;

@@ -35,13 +35,20 @@ struct OperatorStage {
   std::string path;    ///< Scan leaves: "imcs" | "row" (planner's choice).
   std::string reason;  ///< Scan leaves: why the planner chose `path`.
   double invalid_fraction = 0.0;  ///< Scan: SMU invalidity the planner saw.
-  uint64_t rows_in = 0;   ///< Rows pulled from the child (0 for leaves).
-  uint64_t rows_out = 0;  ///< Rows handed to the parent.
+  uint64_t rows_in = 0;   ///< Rows pulled or folded from the child.
+  /// Rows handed to the parent; a scan leaf under an aggregate counts the
+  /// rows it matched and folded.
+  uint64_t rows_out = 0;
   uint64_t groups = 0;       ///< hash_agg: distinct group keys.
+  /// hash_agg: where its input folded — "scan" (on IMCU codes inside the
+  /// scan tasks), "join" (off the join's match pairs) or "rows".
+  std::string fold;
   uint64_t build_rows = 0;   ///< hash_join: hash-table side input rows.
   uint64_t probe_rows = 0;   ///< hash_join: probe side input rows.
   std::string build_side;    ///< hash_join: "left" | "right" (smaller input).
-  uint64_t elapsed_us = 0;   ///< Wall time attributable to this operator.
+  /// Wall time of this operator's own Open and NextBatch work (children's
+  /// time excluded, so stages never overlap).
+  uint64_t elapsed_us = 0;
   ScanStats scan;            ///< Scan leaves: engine accounting.
 
   std::string ToJson() const;
@@ -96,6 +103,10 @@ struct QueryProfile {
 
   uint64_t started_at_us = 0;  ///< Monotonic clock, for ordering.
   uint64_t wall_us = 0;
+  /// Moving the root's batches into QueryResult::rows.
+  uint64_t assembly_us = 0;
+  /// wall − Σ stage elapsed − assembly: time no stage accounts for.
+  uint64_t unattributed_us = 0;
   uint64_t caller_cpu_us = 0;  ///< Calling thread's CPU (workers excluded).
 
   /// Multi-line human-readable rendering (EXPLAIN-style).

@@ -142,6 +142,13 @@ Value IntColumnVector::Get(size_t row) const {
   return Value(GetInt(row));
 }
 
+uint64_t IntColumnVector::num_codes() const {
+  if (all_null_) return 0;
+  const uint64_t max_code =
+      static_cast<uint64_t>(max_) - static_cast<uint64_t>(min_);
+  return max_code == UINT64_MAX ? max_code : max_code + 1;
+}
+
 size_t IntColumnVector::ApproxBytes() const {
   return packed_.ApproxBytes() + nulls_.capacity() * 8 + sizeof(*this);
 }

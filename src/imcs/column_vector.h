@@ -97,6 +97,16 @@ class ColumnVector {
   /// dictionary, null bitmap) to `*out`. DeserializeColumnVector() restores
   /// the vector without re-encoding — the IMCS snapshot-resume fast path.
   virtual void SerializeTo(std::string* out) const = 0;
+
+  /// Code-space access for folds over the encoded column. A non-null row's
+  /// code is codes().Get(row) — its frame-of-reference offset (int) or its
+  /// dictionary code (string) — a dense integer below num_codes() (which
+  /// saturates at UINT64_MAX); DecodeCode maps a code back to its Value.
+  /// null_words() is the NULL bitmap (BitmapWords(size()) words).
+  virtual const BitPackedArray& codes() const = 0;
+  virtual const std::vector<uint64_t>& null_words() const = 0;
+  virtual uint64_t num_codes() const = 0;
+  virtual Value DecodeCode(uint64_t code) const = 0;
 };
 
 /// Frame-of-reference + bit-packed integer column.
@@ -118,6 +128,13 @@ class IntColumnVector final : public ColumnVector {
   void FilterBitmap(PredOp op, const Value& value, ScanKernel kernel,
                     uint64_t* out, KernelCounters* counters) const override;
   bool MightMatch(PredOp op, const Value& value) const override;
+
+  const BitPackedArray& codes() const override { return packed_; }
+  const std::vector<uint64_t>& null_words() const override { return nulls_; }
+  uint64_t num_codes() const override;
+  Value DecodeCode(uint64_t code) const override {
+    return Value(static_cast<int64_t>(static_cast<uint64_t>(base_) + code));
+  }
 
   int64_t min_value() const { return min_; }
   int64_t max_value() const { return max_; }
@@ -156,6 +173,13 @@ class StringColumnVector final : public ColumnVector {
   void FilterBitmap(PredOp op, const Value& value, ScanKernel kernel,
                     uint64_t* out, KernelCounters* counters) const override;
   bool MightMatch(PredOp op, const Value& value) const override;
+
+  const BitPackedArray& codes() const override { return codes_; }
+  const std::vector<uint64_t>& null_words() const override { return nulls_; }
+  uint64_t num_codes() const override { return dict_.size(); }
+  Value DecodeCode(uint64_t code) const override {
+    return Value(dict_.Decode(static_cast<uint32_t>(code)));
+  }
 
   const Dictionary& dictionary() const { return dict_; }
 

@@ -1,0 +1,175 @@
+#ifndef STRATUS_IMCS_GROUP_FOLD_H_
+#define STRATUS_IMCS_GROUP_FOLD_H_
+
+#include <cstddef>
+#include <cstdint>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
+#include "storage/value.h"
+
+namespace stratus {
+
+class Imcu;
+
+/// Aggregate function. The scan engine folds it off the encoded columns
+/// (push-down, [11]); every other input folds materialized rows.
+enum class AggKind : uint8_t { kNone = 0, kCount, kSum, kMin, kMax };
+
+/// One aggregate of a query: which fold over which column (schema or
+/// In-Memory-Expression virtual column; integer columns for kSum/kMin/kMax).
+struct AggSpec {
+  AggKind kind = AggKind::kCount;
+  uint32_t column = 0;  ///< Ignored for kCount.
+};
+
+/// A partial (per-worker) or final aggregate accumulator.
+///
+/// kSum runs over an exact 128-bit running sum; `acc` is its projection into
+/// int64 (saturated at the range bounds, with `overflow` set). Because the
+/// exact sum — not the saturation — is what accumulates, the outcome depends
+/// only on the multiset of folded inputs, never on fold or merge order:
+/// intermediate excursions past the int64 range that later cancel do not
+/// latch the flag, so IMCS, row-path, and every kernel variant at every DOP
+/// produce identical (acc, overflow) pairs.
+struct AggState {
+  uint64_t count = 0;     ///< Matching rows (all paths).
+  int64_t acc = 0;        ///< kSum/kMin/kMax accumulator (kSum: saturated).
+  bool started = false;   ///< A non-null integer input reached the fold.
+  bool overflow = false;  ///< kSum only: exact sum left the int64 range.
+
+  void Fold(AggKind kind, int64_t x) {
+    if (kind == AggKind::kSum) {
+      sum_hi_ += x < 0 ? -1 : 0;
+      const uint64_t lo = sum_lo_ + static_cast<uint64_t>(x);
+      sum_hi_ += lo < sum_lo_ ? 1 : 0;  // Carry out of the low word.
+      sum_lo_ = lo;
+      started = true;
+      ProjectSum();
+      return;
+    }
+    if (!started) {
+      acc = x;
+      started = true;
+    } else if (kind == AggKind::kMin) {
+      acc = acc < x ? acc : x;
+    } else if (kind == AggKind::kMax) {
+      acc = acc < x ? x : acc;
+    }
+  }
+
+  /// Folds another partial in. COUNT/MIN/MAX are associative and commutative,
+  /// and kSum merges the exact 128-bit partial sums, so merging in
+  /// deterministic task order reproduces the serial result exactly.
+  void Merge(AggKind kind, const AggState& other) {
+    count += other.count;
+    if (!other.started) return;
+    if (kind == AggKind::kSum) {
+      sum_hi_ += other.sum_hi_;
+      const uint64_t lo = sum_lo_ + other.sum_lo_;
+      sum_hi_ += lo < sum_lo_ ? 1 : 0;
+      sum_lo_ = lo;
+      started = true;
+      ProjectSum();
+      return;
+    }
+    if (!started) {
+      acc = other.acc;
+      started = true;
+    } else if (kind == AggKind::kMin) {
+      acc = acc < other.acc ? acc : other.acc;
+    } else if (kind == AggKind::kMax) {
+      acc = acc < other.acc ? other.acc : acc;
+    }
+  }
+
+ private:
+  void ProjectSum() {
+    // The exact sum fits int64 iff the high word is a pure sign extension of
+    // the low word's top bit.
+    const uint64_t sign_ext = sum_lo_ >> 63 ? ~uint64_t{0} : 0;
+    if (sum_hi_ == sign_ext) {
+      acc = static_cast<int64_t>(sum_lo_);
+      overflow = false;
+    } else if (static_cast<int64_t>(sum_hi_) < 0) {
+      acc = INT64_MIN;
+      overflow = true;
+    } else {
+      acc = INT64_MAX;
+      overflow = true;
+    }
+  }
+
+  // Exact kSum running sum as a two-word (128-bit) two's-complement integer.
+  // With at most 2^64 folded rows of |x| <= 2^63 the true sum stays well
+  // inside 128 bits.
+  uint64_t sum_lo_ = 0;
+  uint64_t sum_hi_ = 0;
+};
+
+/// The one grouped-aggregate accumulator: GROUP BY `group_by` with one
+/// AggState per AggSpec per group. Every aggregate input folds through it
+/// without building rows where it can — a scan folds each IMCU's match
+/// bitmap on the packed codes (FoldImcu), a hash join folds its match pairs
+/// as the joined layout (FoldJoined) — and anything else folds materialized
+/// rows (FoldRow). The lone ungrouped push-down is the zero-key case.
+///
+/// Row semantics, identical on every input: a key column past the row's
+/// arity is NULL; COUNT counts every row; SUM/MIN/MAX skip NULL and non-int
+/// inputs (and inputs past the row's arity). Every fold is order-
+/// independent, so partials folded over disjoint inputs in any split merge
+/// to the same groups.
+class GroupFold {
+ public:
+  /// Largest composite key-code space folded into an array of accumulators
+  /// indexed by code; a wider key decodes per row into the hash map.
+  static constexpr uint64_t kMaxSlots = 4096;
+
+  /// `specs` must be non-empty (a group with no aggregate folds nothing).
+  GroupFold(std::vector<uint32_t> group_by, std::vector<AggSpec> specs);
+
+  /// An empty fold over the same keys and aggregates (a task's partial).
+  GroupFold Partial() const { return GroupFold(group_by_, specs_); }
+
+  /// Folds one materialized row.
+  void FoldRow(const Row& row);
+  /// Folds the joined row `left ++ right` without building it.
+  void FoldJoined(const Row& left, const Row& right);
+  /// Folds the rows of `imcu` set in `match` (BitmapWords(num_rows) words)
+  /// on their encoded codes; returns how many rows that was. Codes are per
+  /// IMCU, so each touched group's key decodes once per call.
+  uint64_t FoldImcu(const Imcu& imcu, const uint64_t* match);
+
+  /// Folds a partial built over a disjoint input into this one.
+  void Merge(GroupFold&& other);
+
+  /// Input rows folded so far (this fold and everything merged into it).
+  uint64_t rows() const { return rows_; }
+
+  /// The zero-key group's state of aggregate `i` (the push-down result; an
+  /// empty state when no row was folded).
+  AggState Ungrouped(size_t i) const;
+
+  /// Moves the groups out, sorted by key tuple (Value's total order).
+  std::vector<std::pair<Row, std::vector<AggState>>> TakeSorted();
+
+ private:
+  struct KeyHash {
+    size_t operator()(const Row& key) const;
+  };
+  using GroupMap = std::unordered_map<Row, std::vector<AggState>, KeyHash>;
+
+  std::vector<AggState>& Group(const Row& key);
+
+  std::vector<uint32_t> group_by_;
+  std::vector<AggSpec> specs_;
+  GroupMap groups_;                  ///< Keyed groups.
+  std::vector<AggState> ungrouped_;  ///< The zero-key group, once a row folds.
+  uint64_t rows_ = 0;
+  Row key_;  ///< Reused key buffer for the per-row folds.
+};
+
+}  // namespace stratus
+
+#endif  // STRATUS_IMCS_GROUP_FOLD_H_

@@ -1,6 +1,7 @@
 #include "imcs/scan_engine.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -59,23 +60,13 @@ void ExtendWithExpressions(const std::vector<Expression>* expressions, Row* row)
   for (const Expression& e : *expressions) row->push_back(e.Eval(base));
 }
 
-/// Counts/folds one matching row-path row into an aggregate partial: every
-/// match counts; kSum/kMin/kMax additionally fold an in-range integer value.
-void FoldRowMatch(const ScanAggregate& agg, const Row& row, AggState* out) {
-  ++out->count;
-  if (agg.kind == AggKind::kNone || agg.kind == AggKind::kCount) return;
-  if (agg.column >= row.size()) return;
-  const Value& v = row[agg.column];
-  if (v.type() == ValueType::kInt) out->Fold(agg.kind, v.as_int());
-}
-
 }  // namespace
 
 void ScanEngine::ScanBlockRowPath(Dba dba, const std::vector<Predicate>& preds,
                                   const ReadView& view, const BufferCache& cache,
                                   const std::vector<Expression>* expressions,
-                                  const ScanAggregate& agg, const RowSink& emit,
-                                  ScanStats* stats, AggState* agg_out) const {
+                                  GroupFold* fold, const RowEmit& emit,
+                                  ScanStats* stats) const {
   Block* block = cache.Get(dba);
   if (block == nullptr) return;
   ++stats->blocks_rowpath;
@@ -86,10 +77,10 @@ void ScanEngine::ScanBlockRowPath(Dba dba, const std::vector<Predicate>& preds,
     ExtendWithExpressions(expressions, &row);
     if (!EvalPredicates(row, preds)) continue;
     ++stats->rows_from_rowstore;
-    if (agg.kind != AggKind::kNone) {
-      FoldRowMatch(agg, row, agg_out);
+    if (fold != nullptr) {
+      fold->FoldRow(row);
     } else {
-      emit(row);
+      emit(std::move(row));  // ReadRow reassigns the whole row next slot.
     }
   }
 }
@@ -97,9 +88,8 @@ void ScanEngine::ScanBlockRowPath(Dba dba, const std::vector<Predicate>& preds,
 void ScanEngine::ScanSmuTask(const Smu& smu, const std::vector<Predicate>& preds,
                              const ReadView& view, const BufferCache& cache,
                              const std::vector<Expression>* expressions,
-                             bool needs_rows, const ScanAggregate& agg,
-                             const RowSink& emit, ScanStats* stats,
-                             AggState* agg_out) const {
+                             bool needs_rows, GroupFold* fold,
+                             const RowEmit& emit, ScanStats* stats) const {
   const auto imcu = smu.imcu();
 
   // Storage-index (min/max) pruning short-circuits before any vector work:
@@ -195,35 +185,23 @@ void ScanEngine::ScanSmuTask(const Smu& smu, const std::vector<Predicate>& preds
         if (!cached_block->ReadRow(slot, view, &row).ok()) continue;
         ++stats->invalid_rowpath;
         ExtendWithExpressions(expressions, &row);
-        if (EvalPredicates(row, preds)) reconciled.emplace_back(r, row);
+        if (EvalPredicates(row, preds))
+          reconciled.emplace_back(r, std::move(row));  // ReadRow reassigns.
       }
     }
   }
 
-  // Aggregation push-down ([11]): fold straight off the bitmap and the
-  // encoded column — COUNT by popcount, kSum/kMin/kMax off the packed codes
-  // via GetInt, with no Value materialization and no row-id list. Folding
-  // all columnar rows before the reconciled rows is safe: Fold is
-  // commutative and associative, so the result matches row-order folding.
-  if (agg.kind != AggKind::kNone) {
-    if (!match.empty()) {
-      const uint64_t mcount = BitmapCount(match.data(), num_words);
-      stats->rows_from_imcs += mcount;
-      agg_out->count += mcount;
-      if (agg.kind != AggKind::kCount && mcount != 0 &&
-          agg.column < imcu->num_columns()) {
-        const ColumnVector& col = imcu->column(agg.column);
-        if (col.type() == ValueType::kInt) {
-          const auto& icol = static_cast<const IntColumnVector&>(col);
-          ForEachSetBit(match.data(), num_words, [&](uint32_t r) {
-            if (!icol.IsNull(r)) agg_out->Fold(agg.kind, icol.GetInt(r));
-          });
-        }
-      }
-    }
-    for (auto& pr : reconciled) {
+  // Aggregation ([11]): fold straight off the bitmap and the encoded
+  // columns — group keys by code, SUM/MIN/MAX off the packed codes via
+  // GetInt, COUNT by popcount — with no Value materialization and no row-id
+  // list. Folding all columnar rows before the reconciled rows is safe:
+  // every fold is commutative and associative.
+  if (fold != nullptr) {
+    if (!match.empty())
+      stats->rows_from_imcs += fold->FoldImcu(*imcu, match.data());
+    for (const auto& pr : reconciled) {
       ++stats->rows_from_rowstore;
-      FoldRowMatch(agg, pr.second, agg_out);
+      fold->FoldRow(pr.second);
     }
     return;
   }
@@ -236,7 +214,6 @@ void ScanEngine::ScanSmuTask(const Smu& smu, const std::vector<Predicate>& preds
   std::vector<uint32_t> matches;
   if (!match.empty()) BitmapToRows(match.data(), num_words, &matches);
   size_t ci = 0, ri = 0;
-  static const Row kEmpty;
   while (ci < matches.size() || ri < reconciled.size()) {
     const bool columnar =
         ri >= reconciled.size() ||
@@ -244,15 +221,10 @@ void ScanEngine::ScanSmuTask(const Smu& smu, const std::vector<Predicate>& preds
     if (columnar) {
       const uint32_t r = matches[ci++];
       ++stats->rows_from_imcs;
-      if (needs_rows) {
-        emit(imcu->Materialize(r));
-      } else {
-        emit(kEmpty);
-      }
+      emit(needs_rows ? imcu->Materialize(r) : Row{});
     } else {
-      Row& row = reconciled[ri++].second;
       ++stats->rows_from_rowstore;
-      emit(row);
+      emit(std::move(reconciled[ri++].second));
     }
   }
 }
@@ -267,8 +239,14 @@ Status ScanEngine::Scan(const Table& table, const std::vector<Predicate>& preds,
                         const ScanOptions& options) const {
   ScanStats local_stats;
   if (stats == nullptr) stats = &local_stats;
-  AggState local_agg;
-  if (agg_out == nullptr) agg_out = &local_agg;
+  // A push-down aggregate is the zero-key, one-aggregate fold.
+  std::optional<GroupFold> pushdown;
+  GroupFold* fold = options.fold;
+  if (fold == nullptr && agg.kind != AggKind::kNone) {
+    pushdown.emplace(std::vector<uint32_t>{},
+                     std::vector<AggSpec>{AggSpec{agg.kind, agg.column}});
+    fold = &*pushdown;
+  }
   const std::vector<Dba> blocks = table.SnapshotBlocks();
 
   // Gather the usable SMUs covering this table across the given stores.
@@ -377,16 +355,16 @@ Status ScanEngine::Scan(const Table& table, const std::vector<Predicate>& preds,
   stats->parallel_tasks += tasks.size();
   const size_t num_tasks = tasks.size();
 
-  const auto run_task = [&](size_t t, const RowSink& emit, ScanStats* tstats,
-                            AggState* tagg) {
+  const auto run_task = [&](size_t t, const RowEmit& emit, ScanStats* tstats,
+                            GroupFold* tfold) {
     const Task& task = tasks[t];
     if (task.smu != nullptr) {
-      ScanSmuTask(*task.smu, preds, view, cache, expressions, needs_rows, agg,
-                  emit, tstats, tagg);
+      ScanSmuTask(*task.smu, preds, view, cache, expressions, needs_rows, tfold,
+                  emit, tstats);
     } else {
       for (Dba dba : task.chunk_blocks) {
-        ScanBlockRowPath(dba, preds, view, cache, expressions, agg, emit,
-                         tstats, tagg);
+        ScanBlockRowPath(dba, preds, view, cache, expressions, tfold, emit,
+                         tstats);
       }
     }
   };
@@ -405,7 +383,9 @@ Status ScanEngine::Scan(const Table& table, const std::vector<Predicate>& preds,
     const uint64_t end_us = NowMicros();
     tp.exec_us = end_us > start_us ? end_us - start_us : 0;
   };
-  const auto finish_profile = [&] {
+  const auto finish = [&] {
+    if (pushdown.has_value() && agg_out != nullptr)
+      agg_out->Merge(agg.kind, pushdown->Ungrouped(0));
     if (profile == nullptr) return;
     profile->tasks.insert(profile->tasks.end(), task_profiles.begin(),
                           task_profiles.end());
@@ -417,27 +397,28 @@ Status ScanEngine::Scan(const Table& table, const std::vector<Predicate>& preds,
     // A batch consumer gets fixed-size flushes instead of per-row calls.
     std::vector<Row> batch;
     const size_t batch_rows = std::max<size_t>(1, options.batch_rows);
-    RowSink batched;
+    RowEmit emit;
     if (options.batch_sink) {
       batch.reserve(batch_rows);
-      batched = [&](const Row& row) {
-        batch.push_back(row);
+      emit = [&](Row&& row) {
+        batch.push_back(std::move(row));
         if (batch.size() >= batch_rows) {
           options.batch_sink(std::move(batch));
           batch.clear();
           batch.reserve(batch_rows);
         }
       };
+    } else {
+      emit = [&sink](Row&& row) { sink(row); };
     }
-    const RowSink& emit = options.batch_sink ? batched : sink;
     for (size_t t = 0; t < num_tasks; ++t) {
       const uint64_t start_us = profile != nullptr ? NowMicros() : 0;
-      run_task(t, emit, stats, agg_out);
+      run_task(t, emit, stats, fold);
       if (profile != nullptr) record_task(t, start_us);
     }
     if (options.batch_sink && !batch.empty())
       options.batch_sink(std::move(batch));
-    finish_profile();
+    finish();
     return Status::OK();
   }
 
@@ -446,7 +427,7 @@ Status ScanEngine::Scan(const Table& table, const std::vector<Predicate>& preds,
   // the inline path's output exactly.
   struct TaskOut {
     ScanStats stats;
-    AggState agg;
+    std::optional<GroupFold> fold;
     std::vector<Row> rows;
   };
   std::vector<TaskOut> outs(num_tasks);
@@ -455,15 +436,16 @@ Status ScanEngine::Scan(const Table& table, const std::vector<Predicate>& preds,
   pool->ParallelFor(num_tasks, dop, [&](size_t t) {
     TaskOut& out = outs[t];
     const uint64_t start_us = profile != nullptr ? NowMicros() : 0;
+    if (fold != nullptr) out.fold.emplace(fold->Partial());
     run_task(
-        t, [&out](const Row& row) { out.rows.push_back(row); }, &out.stats,
-        &out.agg);
+        t, [&out](Row&& row) { out.rows.push_back(std::move(row)); },
+        &out.stats, out.fold.has_value() ? &*out.fold : nullptr);
     if (profile != nullptr) record_task(t, start_us);
   });
 
   for (TaskOut& out : outs) {
     stats->Add(out.stats);
-    agg_out->Merge(agg.kind, out.agg);
+    if (out.fold.has_value()) fold->Merge(std::move(*out.fold));
     if (options.batch_sink) {
       // Batch consumers take the whole task buffer by move — the merge
       // boundary costs nothing per row.
@@ -472,7 +454,7 @@ Status ScanEngine::Scan(const Table& table, const std::vector<Predicate>& preds,
       for (const Row& row : out.rows) sink(row);
     }
   }
-  finish_profile();
+  finish();
   return Status::OK();
 }
 

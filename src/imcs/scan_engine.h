@@ -9,6 +9,7 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "imcs/expression.h"
+#include "imcs/group_fold.h"
 #include "imcs/im_store.h"
 #include "storage/buffer_cache.h"
 #include "storage/table.h"
@@ -37,99 +38,12 @@ bool EvalPredicate(const Row& row, const Predicate& pred);
 /// Conjunction over all predicates.
 bool EvalPredicates(const Row& row, const std::vector<Predicate>& preds);
 
-/// Aggregate applied to the matching rows (push-down: the scan engine folds
-/// per-worker partials off the encoded columns, [11]).
-enum class AggKind : uint8_t { kNone = 0, kCount, kSum, kMin, kMax };
-
 /// Aggregation push-down request: which aggregate over which column (schema
 /// or In-Memory-Expression virtual column; integer columns for kSum/kMin/kMax).
+/// The engine runs it as the zero-key, one-aggregate GroupFold.
 struct ScanAggregate {
   AggKind kind = AggKind::kNone;
   uint32_t column = 0;
-};
-
-/// A partial (per-worker) or final aggregate accumulator.
-///
-/// kSum runs over an exact 128-bit running sum; `acc` is its projection into
-/// int64 (saturated at the range bounds, with `overflow` set). Because the
-/// exact sum — not the saturation — is what accumulates, the outcome depends
-/// only on the multiset of folded inputs, never on fold or merge order:
-/// intermediate excursions past the int64 range that later cancel do not
-/// latch the flag, so IMCS, row-path, and every kernel variant at every DOP
-/// produce identical (acc, overflow) pairs.
-struct AggState {
-  uint64_t count = 0;     ///< Matching rows (all paths).
-  int64_t acc = 0;        ///< kSum/kMin/kMax accumulator (kSum: saturated).
-  bool started = false;   ///< A non-null integer input reached the fold.
-  bool overflow = false;  ///< kSum only: exact sum left the int64 range.
-
-  void Fold(AggKind kind, int64_t x) {
-    if (kind == AggKind::kSum) {
-      sum_hi_ += x < 0 ? -1 : 0;
-      const uint64_t lo = sum_lo_ + static_cast<uint64_t>(x);
-      sum_hi_ += lo < sum_lo_ ? 1 : 0;  // Carry out of the low word.
-      sum_lo_ = lo;
-      started = true;
-      ProjectSum();
-      return;
-    }
-    if (!started) {
-      acc = x;
-      started = true;
-    } else if (kind == AggKind::kMin) {
-      acc = acc < x ? acc : x;
-    } else if (kind == AggKind::kMax) {
-      acc = acc < x ? x : acc;
-    }
-  }
-
-  /// Folds another partial in. COUNT/MIN/MAX are associative and commutative,
-  /// and kSum merges the exact 128-bit partial sums, so merging in
-  /// deterministic task order reproduces the serial result exactly.
-  void Merge(AggKind kind, const AggState& other) {
-    count += other.count;
-    if (!other.started) return;
-    if (kind == AggKind::kSum) {
-      sum_hi_ += other.sum_hi_;
-      const uint64_t lo = sum_lo_ + other.sum_lo_;
-      sum_hi_ += lo < sum_lo_ ? 1 : 0;
-      sum_lo_ = lo;
-      started = true;
-      ProjectSum();
-      return;
-    }
-    if (!started) {
-      acc = other.acc;
-      started = true;
-    } else if (kind == AggKind::kMin) {
-      acc = acc < other.acc ? acc : other.acc;
-    } else if (kind == AggKind::kMax) {
-      acc = acc < other.acc ? other.acc : acc;
-    }
-  }
-
- private:
-  void ProjectSum() {
-    // The exact sum fits int64 iff the high word is a pure sign extension of
-    // the low word's top bit.
-    const uint64_t sign_ext = sum_lo_ >> 63 ? ~uint64_t{0} : 0;
-    if (sum_hi_ == sign_ext) {
-      acc = static_cast<int64_t>(sum_lo_);
-      overflow = false;
-    } else if (static_cast<int64_t>(sum_hi_) < 0) {
-      acc = INT64_MIN;
-      overflow = true;
-    } else {
-      acc = INT64_MAX;
-      overflow = true;
-    }
-  }
-
-  // Exact kSum running sum as a two-word (128-bit) two's-complement integer.
-  // With at most 2^64 folded rows of |x| <= 2^63 the true sum stays well
-  // inside 128 bits.
-  uint64_t sum_lo_ = 0;
-  uint64_t sum_hi_ = 0;
 };
 
 /// Per-scan statistics: where the rows actually came from.
@@ -210,6 +124,12 @@ struct ScanOptions {
   /// Inline-path flush threshold for `batch_sink` (parallel batches are task
   /// buffers, whatever size the task produced).
   size_t batch_rows = 1024;
+  /// Grouped-aggregate consumer: when set, every match folds into it instead
+  /// of reaching a sink — IMCS rows on their encoded codes inside the scan
+  /// task, row-store rows (uncovered blocks, reconciled invalid rows) as
+  /// materialized rows. Each task folds into its own partial; partials merge
+  /// into `fold` on the calling thread in task order.
+  GroupFold* fold = nullptr;
 };
 
 /// The In-Memory Scan Engine (Section II.B): serves valid rows from the
@@ -223,7 +143,7 @@ struct ScanOptions {
 /// and one task per chunk of uncovered row-store blocks, ordered by block
 /// position in the table's block list. Tasks run on a ThreadPool at
 /// `options.dop`, each accumulating into private ScanStats / row buffer /
-/// partial aggregate; partials are merged on the calling thread in task
+/// partial GroupFold; partials are merged on the calling thread in task
 /// order after the barrier. Each task emits in ascending (block, slot)
 /// order, so the merged output is the table's global (block, slot) order —
 /// reproducible at any DOP and independent of which path serves a row.
@@ -239,10 +159,10 @@ class ScanEngine {
   /// schema-arity + position; row-path rows are extended with the evaluated
   /// expression values so predicates and sinks see a uniform layout. IMCUs
   /// that predate an expression registration are skipped to the row path.
-  /// `agg` + `agg_out`: aggregation push-down. When `agg.kind != kNone` and
-  /// `agg_out != nullptr`, every match is counted (and kSum/kMin/kMax folded
-  /// — off the encoded column for IMCS-served rows, off the materialized row
-  /// otherwise) into `agg_out` instead of reaching the sink.
+  /// `agg` + `agg_out`: aggregation push-down, the zero-key one-aggregate
+  /// spelling of `options.fold`. When `agg.kind != kNone`, every match is
+  /// counted (and kSum/kMin/kMax folded) instead of reaching the sink, and
+  /// the result merges into `agg_out` (when non-null).
   Status Scan(const Table& table, const std::vector<Predicate>& preds,
               const ReadView& view, const std::vector<const ImStore*>& stores,
               const BufferCache& cache, const RowSink& sink,
@@ -252,20 +172,23 @@ class ScanEngine {
               const ScanOptions& options = {}) const;
 
  private:
+  /// A task's row emission: rows move out of the task, never copy.
+  using RowEmit = std::function<void(Row&& row)>;
+
   /// One per-IMCU task: columnar pass over the valid rows plus the invalid-
   /// row reconciliation pass, both under one SMU invalidity snapshot, merged
-  /// into ascending row-index order before emission.
+  /// into ascending row-index order before emission (or folded into `fold`).
   void ScanSmuTask(const Smu& smu, const std::vector<Predicate>& preds,
                    const ReadView& view, const BufferCache& cache,
                    const std::vector<Expression>* expressions, bool needs_rows,
-                   const ScanAggregate& agg, const RowSink& emit,
-                   ScanStats* stats, AggState* agg_out) const;
+                   GroupFold* fold, const RowEmit& emit,
+                   ScanStats* stats) const;
 
   void ScanBlockRowPath(Dba dba, const std::vector<Predicate>& preds,
                         const ReadView& view, const BufferCache& cache,
                         const std::vector<Expression>* expressions,
-                        const ScanAggregate& agg, const RowSink& emit,
-                        ScanStats* stats, AggState* agg_out) const;
+                        GroupFold* fold, const RowEmit& emit,
+                        ScanStats* stats) const;
 };
 
 }  // namespace stratus

@@ -25,7 +25,8 @@ namespace {
 /// the planner's invalidity view is exactly what the tests created.
 class ExecutorTest : public ::testing::Test {
  protected:
-  ExecutorTest() : db_(MakeOptions()) {
+  explicit ExecutorTest(const DatabaseOptions& options = MakeOptions())
+      : db_(options) {
     db_.Start();
     table_ = db_.CreateTable("t", kDefaultTenant, Schema::WideTable(2, 1),
                              ImService::kPrimaryOnly, /*identity_index=*/true)
@@ -664,6 +665,382 @@ TEST_F(ExecutorTest, MultiJoinDopSweepIdentical) {
           << "dop=" << dop << " force_row=" << force_row;
       EXPECT_EQ(result->count, base->count);
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// GroupFold: aggregates fold on IMCU codes inside the scan tasks, off join
+// match pairs, or off materialized rows — one fold, one set of row semantics.
+// ---------------------------------------------------------------------------
+
+/// Hand fold of `rows` under the row semantics every fold path must keep: a
+/// key column past the row's arity is NULL, COUNT counts every row, and
+/// SUM/MIN/MAX skip NULL and non-int inputs (NULL when nothing folded).
+/// Output is key ++ aggregates per group, sorted by key tuple.
+std::vector<Row> OracleFold(const std::vector<Row>& rows,
+                            const std::vector<uint32_t>& group_by,
+                            const std::vector<AggSpec>& specs) {
+  struct Acc {
+    int64_t count = 0, sum = 0, min = 0, max = 0;
+    bool started = false;
+  };
+  std::map<Row, std::vector<Acc>> groups;
+  for (const Row& row : rows) {
+    Row key;
+    for (uint32_t g : group_by)
+      key.push_back(g < row.size() ? row[g] : Value());
+    std::vector<Acc>& accs = groups[key];
+    accs.resize(specs.size());
+    for (size_t i = 0; i < specs.size(); ++i) {
+      Acc& a = accs[i];
+      ++a.count;
+      const uint32_t c = specs[i].column;
+      if (specs[i].kind == AggKind::kCount || c >= row.size() ||
+          row[c].type() != ValueType::kInt)
+        continue;
+      const int64_t v = row[c].as_int();
+      a.sum = a.started ? a.sum + v : v;
+      a.min = a.started ? std::min(a.min, v) : v;
+      a.max = a.started ? std::max(a.max, v) : v;
+      a.started = true;
+    }
+  }
+  if (group_by.empty() && groups.empty()) groups[Row{}].resize(specs.size());
+  std::vector<Row> out;
+  for (const auto& [key, accs] : groups) {
+    Row row = key;
+    for (size_t i = 0; i < specs.size(); ++i) {
+      const Acc& a = accs[i];
+      const int64_t v = specs[i].kind == AggKind::kSum   ? a.sum
+                        : specs[i].kind == AggKind::kMin ? a.min
+                                                         : a.max;
+      if (specs[i].kind == AggKind::kCount) {
+        row.push_back(Value(a.count));
+      } else {
+        row.push_back(a.started ? Value(v) : Value());
+      }
+    }
+    out.push_back(std::move(row));
+  }
+  return out;
+}
+
+/// Two IMCUs (16 blocks of 256 rows each) whose key codes mean different
+/// values: ids [0, 4096) hold n1 in [0, 8) and c1 in {a0..a3}, ids
+/// [4096, 8192) hold n1 in [1000, 1008) and c1 in {b0..b3}, every (c1, n1)
+/// pair occurring; both halves carry NULL keys and NULL aggregate inputs.
+class GroupFoldTest : public ExecutorTest {
+ protected:
+  static constexpr int64_t kRows = 2 * 16 * kRowsPerBlock;
+
+  GroupFoldTest() : ExecutorTest(Options()) {
+    two_ = db_.CreateTable("two", kDefaultTenant, Schema::WideTable(2, 1),
+                           ImService::kPrimaryOnly, /*identity_index=*/true)
+               .value();
+    Transaction txn = db_.Begin();
+    for (int64_t id = 0; id < kRows; ++id) {
+      EXPECT_TRUE(db_.Insert(&txn, two_, MakeRow(id, 0), nullptr).ok());
+    }
+    EXPECT_TRUE(db_.Commit(&txn).ok());
+    EXPECT_TRUE(db_.PopulateNow(two_).ok());
+    const auto smus = db_.im_store()->SmusForObject(two_);
+    EXPECT_EQ(smus.size(), 2u);
+    for (const auto& smu : smus) EXPECT_EQ(smu->invalid_count(), 0u);
+  }
+
+  /// A background population pass that lands inside the load transaction
+  /// builds IMCUs the commit then invalidates almost whole; PopulateNow
+  /// repopulates those, never one the tests' 10% updates invalidate.
+  static DatabaseOptions Options() {
+    DatabaseOptions options = MakeOptions();
+    options.population.repop_invalid_threshold = 0.5;
+    return options;
+  }
+
+  /// Row `id` (id, n1, n2, c1); `bump` shifts n2 so an update changes the
+  /// aggregate input but keeps the row's group.
+  static Row MakeRow(int64_t id, int64_t bump) {
+    const bool second = id >= kRows / 2;
+    const Value n1 = id % 9 == 0 ? Value()
+                                 : Value((second ? 1000 : 0) + id / 3 % 8);
+    const Value n2 = id % 5 == 0 ? Value() : Value(id % 13 - 6 + bump);
+    const Value c1 =
+        id % 11 == 0 ? Value()
+                     : Value(std::string(second ? "b" : "a") +
+                             std::to_string(id % 4));
+    return Row{Value(id), n1, n2, c1};
+  }
+
+  /// Every row of `object` at the current snapshot, off the row store.
+  std::vector<Row> AllRows(ObjectId object) {
+    ScanQuery raw;
+    raw.object = object;
+    raw.force_row_store = true;
+    const auto all = db_.Query(raw);
+    EXPECT_TRUE(all.ok());
+    return all.ok() ? all->rows : std::vector<Row>{};
+  }
+
+  static const OperatorStage* AggStage(const QueryResult& result) {
+    for (const OperatorStage& s : result.profile.stages) {
+      if (s.op == "hash_agg") return &s;
+    }
+    return nullptr;
+  }
+
+  /// Runs `q` on both access paths at DOP 1/2/8 under every kernel; every
+  /// run must return `want` and fold in the scan leaf (the row-store leaf
+  /// folds inside its scan tasks too).
+  void ExpectEverywhere(ScanQuery q, const std::vector<Row>& want) {
+    struct OverrideGuard {
+      ~OverrideGuard() { ClearScanKernelOverride(); }
+    } guard;
+    for (const ScanKernel kernel :
+         {ScanKernel::kScalar, ScanKernel::kSwar, ScanKernel::kAvx2}) {
+      ForceScanKernel(kernel);
+      for (const bool force_row : {false, true}) {
+        for (const uint32_t dop : {1u, 2u, 8u}) {
+          q.force_row_store = force_row;
+          q.dop = dop;
+          const auto result = db_.Query(q);
+          ASSERT_TRUE(result.ok());
+          const std::string ctx = std::string(" kernel=") +
+                                  ScanKernelName(kernel) +
+                                  " force_row=" + std::to_string(force_row) +
+                                  " dop=" + std::to_string(dop);
+          EXPECT_EQ(result->rows, want) << ctx;
+          EXPECT_EQ(result->count, want.size()) << ctx;
+          const OperatorStage* agg = AggStage(*result);
+          ASSERT_NE(agg, nullptr) << ctx;
+          EXPECT_EQ(agg->fold, "scan") << ctx;
+        }
+      }
+    }
+  }
+
+  ObjectId two_ = kInvalidObjectId;
+};
+
+// Codes are per IMCU: the same code is a different key in the other IMCU,
+// and NULL keys take their own code in each.
+TEST_F(GroupFoldTest, KeysDecodedPerImcu) {
+  const std::vector<Row> rows = AllRows(two_);
+  ASSERT_EQ(rows.size(), static_cast<size_t>(kRows));
+  const std::vector<AggSpec> specs = {{AggKind::kCount, 0},
+                                      {AggKind::kSum, 2},
+                                      {AggKind::kMin, 2},
+                                      {AggKind::kMax, 2}};
+  for (const std::vector<uint32_t>& keys :
+       std::vector<std::vector<uint32_t>>{{1}, {3}, {3, 1}}) {
+    ScanQuery q;
+    q.object = two_;
+    q.group_by = keys;
+    q.aggregates = specs;
+    const std::vector<Row> want = OracleFold(rows, keys, specs);
+    // n1: 16 values + NULL; c1: 8 + NULL; (c1, n1): each half's 4 x 8
+    // pairs plus NULL-bearing ones.
+    EXPECT_GE(want.size(), keys.size() == 2 ? 64u : 9u);
+    ExpectEverywhere(q, want);
+  }
+  // A predicate selects a subset of each IMCU: groups still decode per IMCU.
+  ScanQuery q;
+  q.object = two_;
+  q.predicates = {{2, PredOp::kGe, Value(int64_t{0})}};
+  q.group_by = {3, 1};
+  q.aggregates = specs;
+  std::vector<Row> matching;
+  for (const Row& row : rows) {
+    if (row[2].type() == ValueType::kInt && row[2].as_int() >= 0)
+      matching.push_back(row);
+  }
+  ExpectEverywhere(q, OracleFold(matching, q.group_by, q.aggregates));
+}
+
+// A key whose code space is past the slot cap — a composite with the id, or
+// one column spread over +-2^40 — decodes per matched row; so does a narrow
+// key over fewer matched rows than it has codes.
+TEST_F(GroupFoldTest, WideKeyDecodesPerRow) {
+  const ObjectId wide =
+      db_.CreateTable("wide", kDefaultTenant, Schema::WideTable(2, 1),
+                      ImService::kPrimaryOnly, /*identity_index=*/true)
+          .value();
+  Transaction txn = db_.Begin();
+  for (int64_t id = 0; id < kRows / 2; ++id) {
+    const int64_t spread = (id % 3 - 1) * (int64_t{1} << 40) + id % 5;
+    ASSERT_TRUE(db_.Insert(&txn, wide,
+                           Row{Value(id), Value(spread), Value(id % 7),
+                               Value("w" + std::to_string(id % 3))},
+                           nullptr)
+                    .ok());
+  }
+  ASSERT_TRUE(db_.Commit(&txn).ok());
+  ASSERT_TRUE(db_.PopulateNow(wide).ok());
+  const std::vector<AggSpec> specs = {{AggKind::kCount, 0}, {AggKind::kSum, 2}};
+
+  ScanQuery spread;
+  spread.object = wide;
+  spread.group_by = {1};
+  spread.aggregates = specs;
+  const std::vector<Row> want = OracleFold(AllRows(wide), {1}, specs);
+  EXPECT_EQ(want.size(), 15u);
+  ExpectEverywhere(spread, want);
+
+  ScanQuery composite;
+  composite.object = two_;
+  composite.group_by = {3, 0};
+  composite.aggregates = specs;
+  ExpectEverywhere(composite, OracleFold(AllRows(two_), {3, 0}, specs));
+
+  ScanQuery few;
+  few.object = two_;
+  few.predicates = {{0, PredOp::kLt, Value(int64_t{3})}};
+  few.group_by = {1};
+  few.aggregates = specs;
+  std::vector<Row> first3 = AllRows(two_);
+  first3.resize(3);
+  ExpectEverywhere(few, OracleFold(first3, {1}, specs));
+}
+
+// Rows changed after population reconcile from the row store and fold into
+// the same groups as the columnar rows of their IMCU.
+TEST_F(GroupFoldTest, SmuInvalidRowsFoldIntoSameGroups) {
+  Transaction txn = db_.Begin();
+  for (int64_t id = 0; id < kRows; id += 10) {
+    ASSERT_TRUE(db_.UpdateByKey(&txn, two_, id, MakeRow(id, 100)).ok());
+  }
+  ASSERT_TRUE(db_.Commit(&txn).ok());
+
+  ScanQuery q;
+  q.object = two_;
+  q.group_by = {3, 1};
+  q.aggregates = {{AggKind::kCount, 0},
+                  {AggKind::kSum, 2},
+                  {AggKind::kMin, 2},
+                  {AggKind::kMax, 2}};
+  const auto imcs = db_.Query(q);
+  ASSERT_TRUE(imcs.ok());
+  EXPECT_GT(imcs->stats.rows_from_rowstore, 0u);
+  if (!ForceRowPathEnv()) {  // The row-path sweep pass forces every plan.
+    EXPECT_EQ(ScanStage(*imcs, two_)->path, "imcs")
+        << ScanStage(*imcs, two_)->reason;
+    EXPECT_GT(imcs->stats.rows_from_imcs, 0u);
+    EXPECT_GT(imcs->stats.invalid_rowpath, 0u);
+  }
+  ExpectEverywhere(q, OracleFold(AllRows(two_), q.group_by, q.aggregates));
+}
+
+// SUM over a string column is NULL with its rows still counted; a group key
+// past the table's arity makes one NULL-key group.
+TEST_F(GroupFoldTest, RowSemanticsKept) {
+  const std::vector<Row> rows = AllRows(two_);
+  ScanQuery string_sum;
+  string_sum.object = two_;
+  string_sum.group_by = {1};
+  string_sum.aggregates = {{AggKind::kSum, 3}, {AggKind::kCount, 0}};
+  const std::vector<Row> want = OracleFold(rows, {1}, string_sum.aggregates);
+  for (const Row& row : want) EXPECT_TRUE(row[1].is_null());
+  ExpectEverywhere(string_sum, want);
+
+  ScanQuery past;
+  past.object = two_;
+  past.group_by = {50};
+  past.aggregates = {{AggKind::kCount, 0}, {AggKind::kMax, 0}};
+  const std::vector<Row> one = OracleFold(rows, {50}, past.aggregates);
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_TRUE(one[0][0].is_null());
+  EXPECT_EQ(one[0][1].as_int(), kRows);
+  ExpectEverywhere(past, one);
+}
+
+// One join + group-by folded three ways — off the match pairs, off the rows a
+// residual filter passes, and with both leaves on the row store — gives the
+// same rows; the pairs span several fold chunks.
+TEST_F(GroupFoldTest, JoinFoldMatchesRowFold) {
+  struct OverrideGuard {
+    ~OverrideGuard() { ClearScanKernelOverride(); }
+  } guard;
+  const ObjectId dims = MakeDims("fold_dims", 1008, "d");
+  MultiJoinQuery mj;
+  mj.fact = two_;
+  mj.joins = {JoinEdge{dims, 1, 0, {}}};
+  mj.group_by = {3, 5};  // fact.c1, dims.label.
+  mj.aggregates = {{AggKind::kCount, 0},
+                   {AggKind::kSum, 2},
+                   {AggKind::kMin, 0},
+                   {AggKind::kMax, 4}};
+  mj.dop = 1;
+  const auto base = db_.MultiJoin(mj);
+  ASSERT_TRUE(base.ok());
+  ASSERT_FALSE(base->rows.empty());
+  MultiJoinQuery raw = mj;
+  raw.group_by.clear();
+  raw.aggregates.clear();
+  const auto joined = db_.MultiJoin(raw);
+  ASSERT_TRUE(joined.ok());
+  EXPECT_GT(joined->rows.size(), 4096u);
+  EXPECT_EQ(base->rows, OracleFold(joined->rows, mj.group_by, mj.aggregates));
+
+  for (const ScanKernel kernel :
+       {ScanKernel::kScalar, ScanKernel::kSwar, ScanKernel::kAvx2}) {
+    ForceScanKernel(kernel);
+    for (const uint32_t dop : {1u, 2u, 8u}) {
+      const std::string ctx = std::string(" kernel=") +
+                              ScanKernelName(kernel) +
+                              " dop=" + std::to_string(dop);
+      MultiJoinQuery q = mj;
+      q.dop = dop;
+      const auto pairs = db_.MultiJoin(q);
+      ASSERT_TRUE(pairs.ok()) << ctx;
+      EXPECT_EQ(pairs->rows, base->rows) << ctx;
+      EXPECT_EQ(AggStage(*pairs)->fold, "join") << ctx;
+      EXPECT_EQ(AggStage(*pairs)->rows_in, joined->rows.size()) << ctx;
+
+      q.joined_predicates = {{0, PredOp::kGe, Value(int64_t{0})}};
+      const auto filtered = db_.MultiJoin(q);
+      ASSERT_TRUE(filtered.ok()) << ctx;
+      EXPECT_EQ(filtered->rows, base->rows) << ctx;
+      EXPECT_EQ(AggStage(*filtered)->fold, "rows") << ctx;
+
+      q.joined_predicates.clear();
+      q.force_row_store = true;
+      const auto row_store = db_.MultiJoin(q);
+      ASSERT_TRUE(row_store.ok()) << ctx;
+      EXPECT_EQ(row_store->rows, base->rows) << ctx;
+      EXPECT_EQ(row_store->stats.rows_from_imcs, 0u) << ctx;
+    }
+  }
+}
+
+// A grouped scan folds in the scan leaf, and the leaf's matches, the
+// aggregate's input, the profile's matches and an ungrouped COUNT agree.
+TEST_F(GroupFoldTest, ScanFoldStageContract) {
+  ScanQuery q;
+  q.object = two_;
+  q.predicates = {{2, PredOp::kGt, Value(int64_t{-3})}};
+  q.group_by = {1};
+  q.aggregates = {{AggKind::kCount, 0}, {AggKind::kSum, 2}};
+  ScanQuery count = q;
+  count.group_by.clear();
+  count.aggregates = {{AggKind::kCount, 0}};
+  for (const bool force_row : {false, true}) {
+    q.force_row_store = count.force_row_store = force_row;
+    const auto grouped = db_.Query(q);
+    const auto counted = db_.Query(count);
+    ASSERT_TRUE(grouped.ok());
+    ASSERT_TRUE(counted.ok());
+    ASSERT_EQ(grouped->profile.stages.size(), 2u);
+    const OperatorStage& scan = grouped->profile.stages[0];
+    const OperatorStage& agg = grouped->profile.stages[1];
+    EXPECT_EQ(scan.op, "scan");
+    EXPECT_EQ(agg.fold, "scan");
+    EXPECT_GT(counted->count, 0u);
+    EXPECT_EQ(scan.rows_out, counted->count) << "force_row=" << force_row;
+    EXPECT_EQ(agg.rows_in, counted->count) << "force_row=" << force_row;
+    EXPECT_EQ(grouped->profile.matches, counted->count)
+        << "force_row=" << force_row;
+    EXPECT_NE(grouped->profile.Explain().find("fold=scan"), std::string::npos);
+    EXPECT_NE(grouped->profile.ToJson().find("\"fold\":\"scan\""),
+              std::string::npos);
   }
 }
 

@@ -238,5 +238,43 @@ TEST_F(ImExpressionClusterTest, AggregationPushdownMatchesMaterializedPath) {
   EXPECT_EQ(imcs->count, rows->count);
 }
 
+// GROUP BY an IM-expression virtual column and SUM over one: the IMCS path
+// folds both on the virtual column's codes and must match the row path,
+// which evaluates the expression per row.
+TEST_F(ImExpressionClusterTest, GroupByAndSumOverExpression) {
+  const Expression id_mod_6 = Expression::Mod(
+      Expression::Column(0), Expression::Const(Value(int64_t{6})));
+  const Expression n1_plus_n2 =
+      Expression::Add(Expression::Column(1), Expression::Column(2));
+  const uint32_t bucket = cluster_.RegisterImExpression(table_, id_mod_6).value();
+  const uint32_t total =
+      cluster_.RegisterImExpression(table_, n1_plus_n2).value();
+  ASSERT_TRUE(cluster_.standby()->PopulateNow(table_).ok());
+
+  ScanQuery q;
+  q.object = table_;
+  q.group_by = {bucket};
+  q.aggregates = {{AggKind::kCount, 0}, {AggKind::kSum, total}};
+  for (const uint32_t dop : {1u, 2u}) {
+    q.dop = dop;
+    q.force_row_store = false;
+    const auto imcs = cluster_.standby()->Query(q);
+    ASSERT_TRUE(imcs.ok());
+    EXPECT_GT(imcs->stats.rows_from_imcs, 0u);
+    q.force_row_store = true;
+    const auto rows = cluster_.standby()->Query(q);
+    ASSERT_TRUE(rows.ok());
+    EXPECT_EQ(rows->stats.rows_from_imcs, 0u);
+    ASSERT_EQ(imcs->rows.size(), 6u) << "dop=" << dop;
+    EXPECT_EQ(imcs->rows, rows->rows) << "dop=" << dop;
+    int64_t sum = 0;
+    for (const Row& row : imcs->rows) sum += row[2].as_int();
+    // Sum over ids of (id % 10 + id % 7).
+    int64_t want = 0;
+    for (int64_t id = 0; id < 2 * kRowsPerBlock; ++id) want += id % 10 + id % 7;
+    EXPECT_EQ(sum, want);
+  }
+}
+
 }  // namespace
 }  // namespace stratus

@@ -1,7 +1,9 @@
 #include "db/query_profile.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -261,6 +263,79 @@ TEST_F(QueryProfileTest, LaneWaitIsBoundedByWallTime) {
     }
     EXPECT_LE(wait_sum, prof.wall_us * prof.lanes.size()) << "dop=" << dop;
   }
+}
+
+// Each stage times only its own work, so the stages plus result assembly
+// never exceed the wall time and the remainder is reported as unattributed.
+// A join that returns many rows spends that time building them in a timed
+// stage, not in the unattributed gap.
+TEST_F(QueryProfileTest, StagesAssemblyAndUnattributedAddUpToWall) {
+  const ObjectId big =
+      db_.CreateTable("big", kDefaultTenant, Schema::WideTable(1, 1),
+                      ImService::kPrimaryOnly, /*identity_index=*/false)
+          .value();
+  const ObjectId dim =
+      db_.CreateTable("dim", kDefaultTenant, Schema::WideTable(1, 1),
+                      ImService::kPrimaryOnly, /*identity_index=*/false)
+          .value();
+  Transaction txn = db_.Begin();
+  for (int64_t id = 0; id < 64 * kRowsPerBlock; ++id) {
+    Row row{Value(id), Value(id % 16), Value(std::string("g"))};
+    ASSERT_TRUE(db_.Insert(&txn, big, std::move(row), nullptr).ok());
+  }
+  for (int64_t id = 0; id < 16; ++id) {
+    Row row{Value(id), Value(id), Value("d" + std::to_string(id % 4))};
+    ASSERT_TRUE(db_.Insert(&txn, dim, std::move(row), nullptr).ok());
+  }
+  ASSERT_TRUE(db_.Commit(&txn).ok());
+  ASSERT_TRUE(db_.PopulateNow(big).ok());
+
+  const auto check = [](const QueryProfile& prof, const std::string& what) {
+    uint64_t staged = 0;
+    for (const OperatorStage& s : prof.stages) staged += s.elapsed_us;
+    EXPECT_LE(staged + prof.assembly_us, prof.wall_us) << what;
+    EXPECT_EQ(staged + prof.assembly_us + prof.unattributed_us, prof.wall_us)
+        << what;
+    EXPECT_NE(prof.Explain().find("unattributed"), std::string::npos) << what;
+    EXPECT_NE(prof.ToJson().find("\"unattributed_us\":"), std::string::npos)
+        << what;
+    EXPECT_NE(prof.ToJson().find("\"assembly_us\":"), std::string::npos)
+        << what;
+  };
+
+  ScanQuery grouped;
+  grouped.object = big;
+  grouped.group_by = {1};
+  grouped.aggregates = {{AggKind::kCount, 0}, {AggKind::kSum, 0}};
+  const auto scan = db_.Query(grouped);
+  ASSERT_TRUE(scan.ok());
+  ASSERT_EQ(scan->rows.size(), 16u);
+  check(scan->profile, "grouped scan");
+
+  MultiJoinQuery join;
+  join.fact = big;
+  join.joins = {JoinEdge{dim, 1, 1, {}}};
+  // A preempted untimed gap could exceed half of one run's wall time; the
+  // emission it guards against is untimed in every run.
+  uint64_t best_share_pct = 100;
+  for (int run = 0; run < 3; ++run) {
+    const auto joined = db_.MultiJoin(join);
+    ASSERT_TRUE(joined.ok());
+    ASSERT_GE(joined->rows.size(), 10'000u);
+    const QueryProfile& prof = joined->profile;
+    check(prof, "row-returning join");
+    ASSERT_GT(prof.wall_us, 0u);
+    best_share_pct =
+        std::min(best_share_pct, 100 * prof.unattributed_us / prof.wall_us);
+  }
+  EXPECT_LE(best_share_pct, 50u);
+
+  join.group_by = {5};
+  join.aggregates = {{AggKind::kCount, 0}, {AggKind::kSum, 0}};
+  const auto folded = db_.MultiJoin(join);
+  ASSERT_TRUE(folded.ok());
+  ASSERT_EQ(folded->rows.size(), 4u);
+  check(folded->profile, "join + group-by");
 }
 
 TEST_F(QueryProfileTest, JoinProfileRecordsBothSides) {

@@ -8,6 +8,7 @@
 
 #include "common/clock.h"
 #include "db/database.h"
+#include "db/introspection.h"
 
 namespace stratus {
 namespace {
@@ -211,6 +212,47 @@ bool WaitForCheckpoints(StandbyDb* standby, uint64_t n, int64_t timeout_us) {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
   return true;
+}
+
+// A from-disk restart replaces the cluster's shippers while v$transport and
+// shipped_bytes() scrapes read them from another thread; the shipper lock
+// keeps every read on a whole vector (TSan in the chaos stage).
+TEST(RestartTest, TransportScrapeDuringDiskRestartIsRaceFree) {
+  DatabaseOptions options = RestartOptions(true);
+  options.persist.enabled = true;
+  options.persist.data_dir = MakeTempDir();
+  AdgCluster cluster(options);
+  cluster.Start();
+  const ObjectId table =
+      cluster.CreateTable("t", kDefaultTenant, Schema::WideTable(1, 1),
+                          ImService::kStandbyOnly, true)
+          .value();
+  int64_t next_id = 0;
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> scrapes{0};
+  std::thread scraper([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      for (const VTransportRow& row : CollectVTransport(&cluster))
+        EXPECT_FALSE(row.channel.empty());
+      (void)cluster.shipped_bytes();
+      scrapes.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  for (int i = 0; i < 4; ++i) {
+    Load(&cluster, table, &next_id, 64);
+    const Status st = cluster.RestartStandby({.from_disk = true});
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+  stop.store(true, std::memory_order_release);
+  scraper.join();
+  EXPECT_GT(scrapes.load(), 0u);
+
+  ASSERT_NE(cluster.WaitForCatchup(), kInvalidScn);
+  EXPECT_EQ(CountRows(cluster.standby(), table),
+            static_cast<uint64_t>(next_id));
+  EXPECT_EQ(CollectVTransport(&cluster).size(),
+            static_cast<size_t>(options.primary_redo_threads));
+  cluster.Stop();
 }
 
 class RestartModeTest : public ::testing::TestWithParam<RestartMode> {};
