@@ -4,11 +4,14 @@
 #   plain : RelWithDebInfo build, full ctest suite.
 #   tsan  : ThreadSanitizer build of the concurrency-heavy targets
 #           (metrics_test, latch_test, thread_pool_test, redo_apply_test,
-#           scan_engine_test, query_test, consistency_test, net_test) — the
-#           metrics registry, latches, the scan thread pool and the parallel
-#           scan's DOP>1 worker/merge paths, the redo-apply engine and the
-#           socket channel's sender/receiver threads are the hot
-#           lock-free/locked paths a data race would hide in.
+#           scan_engine_test, query_test, executor_test, consistency_test,
+#           net_test, lag_monitor_test, query_profile_test, obs_server_test)
+#           — the metrics registry, latches, the scan thread pool and the
+#           parallel scan's DOP>1 worker/merge paths (partial folds and the
+#           join chain's shared plans included), the redo-apply engine, the
+#           lag monitor's sampler, the HTTP server's workers and the socket
+#           channel's sender/receiver threads are the hot lock-free/locked
+#           paths a data race would hide in.
 #   asan  : Address+UndefinedBehaviorSanitizer build of the wire/transport
 #           targets (net_test, log_shipping_test, transport_test) — the
 #           codec's byte-level parsing and the channels' buffer handling are
@@ -41,11 +44,14 @@
 #           ASan guards the byte-level segment parsing; TSan the archive
 #           tee on the delivery hot path and the checkpoint thread.
 #   simd  : scan-kernel equivalence under ASan+UBSan — the SWAR/AVX2 filter
-#           kernels, the bitmap scan path, and the engine/cluster consistency
-#           sweeps, run twice: once with STRATUS_FORCE_SCALAR=1 (scalar
-#           reference path) and once with runtime dispatch (SWAR or AVX2).
-#           ASan+UBSan guard the packed-word tail reads, the shift
-#           extraction, and the unsigned code-translation arithmetic.
+#           kernels, the bitmap scan path, the code-space folds (executor_test,
+#           and expression_test for folds and joins over IM-expression
+#           virtual-column codes) and the engine/cluster consistency sweeps,
+#           run three times: with STRATUS_FORCE_SCALAR=1 (scalar reference
+#           path), with runtime dispatch (SWAR or AVX2), and with
+#           STRATUS_FORCE_ROWPATH=1 (every plan on the row path). ASan+UBSan
+#           guard the packed-word tail reads, the shift extraction, and the
+#           unsigned code-translation arithmetic.
 #   perfbench : benchmark build + smoke — `python3 perfbench/smoke.py` builds
 #           perfbench/ (its own CMake package over src/, into .bench_build/)
 #           and runs every workload for one second plus one traced run:
@@ -73,7 +79,7 @@ OBS_TESTS="obs_server_test query_profile_test lag_monitor_test"
 # wall-clock bound and balloons under TSan's serialization.
 FLEET_TESTS="fleet_fanout_test fleet_router_test consistency_test"
 PERSIST_TESTS="redo_archive_test checkpoint_test persist_recovery_test persist_chaos_test"
-SIMD_TESTS="scan_kernels_test column_vector_test imcu_test scan_engine_test executor_test consistency_test"
+SIMD_TESTS="scan_kernels_test column_vector_test imcu_test scan_engine_test executor_test expression_test consistency_test"
 
 run_plain() {
   echo "==> [plain] build + full test suite"

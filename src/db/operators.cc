@@ -3,21 +3,19 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
-#include <unordered_map>
+#include <optional>
 #include <utility>
 
 #include "common/clock.h"
 #include "common/thread_pool.h"
 #include "db/query.h"
+#include "imcs/join_table.h"
 
 namespace stratus {
 
 namespace {
 
 constexpr size_t kBatchRows = 1024;
-/// Match pairs per join fold partial: fixed, so the split never depends on
-/// DOP.
-constexpr size_t kJoinFoldPairs = 4096;
 
 ThreadPool* PoolOf(const ExecContext& ec) {
   return ec.ctx->pool != nullptr ? ec.ctx->pool : ThreadPool::Shared();
@@ -111,14 +109,15 @@ class ScanOperator : public Operator {
         batches_.push_back(std::move(batch));
       };
     }
-    const uint64_t folded0 = fold != nullptr ? fold->rows() : 0;
     const Status st = ec->engine->Scan(
         *table, predicates_, *ec->view, stores, *ctx.cache,
         [](const Row&) {}, &stage.scan, /*needs_rows=*/true,
         exprs.empty() ? nullptr : &exprs, ScanAggregate{}, nullptr, options);
 
+    // The rows this table's predicates matched, however they were consumed
+    // (handed on, folded, or joined inside the fold).
     const uint64_t matches =
-        fold != nullptr ? fold->rows() - folded0 : rows_out;
+        stage.scan.rows_from_imcs + stage.scan.rows_from_rowstore;
     stage.rows_out = matches;
     const uint64_t end_us = NowMicros();
     stage.elapsed_us = end_us > start_us ? end_us - start_us : 0;
@@ -309,40 +308,82 @@ class HashAggregateOperator : public Operator {
 // Hash join
 // ---------------------------------------------------------------------------
 
-/// Pipeline breaker: materializes both inputs, builds the hash table on
-/// whichever side is smaller, and emits matches in canonical
+/// Pipeline breaker. Returning rows, it materializes both inputs, builds a
+/// JoinTable on whichever side is smaller, and emits matches in canonical
 /// (probe-input order, joinee order) — so the build-side choice (and DOP,
 /// and each side's access path) never changes the output bytes. Output rows
-/// are always probe ++ joinee, whatever side was hashed; under an aggregate
-/// the match pairs fold as that layout without building the rows. NULL and
-/// non-int join keys never match (SQL equi-join semantics).
+/// are always probe ++ joinee, whatever side was hashed. Under an aggregate
+/// it materializes only the joinee, builds on it and appends the table to
+/// the fold's join chain: the probe input then folds its rows through the
+/// join where it reads them — the fact scan on its IMCU codes — and no
+/// joined row is built. NULL and non-int join keys never match (SQL
+/// equi-join semantics; JoinTable::KeyOf).
 class HashJoinOperator : public Operator {
  public:
   explicit HashJoinOperator(const PlanNode& node)
       : probe_column_(node.probe_column), build_column_(node.build_column) {}
 
-  Status Open(ExecContext* ec) override { return Join(ec); }
+  Status Open(ExecContext* ec) override {
+    stage.op = "hash_join";
+    Status st = children_[0]->Open(ec);
+    if (!st.ok()) return st;
+    st = children_[1]->Open(ec);
+    if (!st.ok()) return st;
+    DrainInto(children_[0].get(), &left_rows_, &stage.elapsed_us);
+    DrainInto(children_[1].get(), &right_rows_, &stage.elapsed_us);
+    const uint64_t t0 = NowMicros();
+    stage.rows_in = left_rows_.size() + right_rows_.size();
+
+    // Build on the smaller materialized input (ties keep the legacy
+    // right-side build).
+    const bool build_left = left_rows_.size() < right_rows_.size();
+    stage.build_side = build_left ? "left" : "right";
+    stage.build_rows = build_left ? left_rows_.size() : right_rows_.size();
+    stage.probe_rows = build_left ? right_rows_.size() : left_rows_.size();
+
+    const JoinTable table(build_left ? left_rows_ : right_rows_,
+                          build_left ? probe_column_ : build_column_);
+    const std::vector<Row>& probe = build_left ? right_rows_ : left_rows_;
+    const uint32_t probe_key = build_left ? build_column_ : probe_column_;
+    for (uint32_t i = 0; i < probe.size(); ++i) {
+      const std::optional<int64_t> key = JoinTable::KeyOf(probe[i], probe_key);
+      if (!key) continue;
+      for (const uint32_t j : table.Find(*key)) {
+        // Pairs are always (left index, right index) regardless of which
+        // side was hashed.
+        pairs_.emplace_back(build_left ? j : i, build_left ? i : j);
+      }
+    }
+    if (build_left) {
+      // Probing the right side emitted pairs in (right, left) order;
+      // restore the canonical (left, right) order.
+      std::sort(pairs_.begin(), pairs_.end());
+    }
+    stage.rows_out = pairs_.size();
+    stage.elapsed_us += NowMicros() - t0;
+    return Status::OK();
+  }
 
   Status OpenFolded(ExecContext* ec, GroupFold* fold,
                     OperatorStage* agg) override {
-    agg->fold = "join";
-    const Status st = Join(ec);
+    stage.op = "hash_join";
+    Status st = children_[1]->Open(ec);
     if (!st.ok()) return st;
+    DrainInto(children_[1].get(), &right_rows_, &stage.elapsed_us);
     const uint64_t t0 = NowMicros();
-    // Fixed contiguous chunks of pairs, one partial each, merged in chunk
-    // order.
-    const size_t chunks = (pairs_.size() + kJoinFoldPairs - 1) / kJoinFoldPairs;
-    std::vector<GroupFold> partials;
-    partials.reserve(chunks);
-    for (size_t c = 0; c < chunks; ++c) partials.push_back(fold->Partial());
-    PoolOf(*ec)->ParallelFor(chunks, ec->dop, [&](size_t c) {
-      const size_t end = std::min(pairs_.size(), (c + 1) * kJoinFoldPairs);
-      for (size_t i = c * kJoinFoldPairs; i < end; ++i)
-        partials[c].FoldJoined(left_rows_[pairs_[i].first],
-                               right_rows_[pairs_[i].second]);
-    });
-    for (GroupFold& partial : partials) fold->Merge(std::move(partial));
+    table_.emplace(right_rows_, build_column_);
+    const size_t step = fold->AddJoin(&*table_, probe_column_);
+    stage.build_side = "right";
+    stage.build_rows = right_rows_.size();
     stage.elapsed_us += NowMicros() - t0;
+
+    // The probe runs inside the probe input's fold, timed in its stage.
+    st = children_[0]->OpenFolded(ec, fold, agg);
+    if (!st.ok()) return st;
+    agg->fold = "join";
+    stage.probe_rows = fold->ProbedRows(step);
+    stage.rows_in = stage.build_rows + stage.probe_rows;
+    stage.rows_out = fold->JoinedRows(step);
     return Status::OK();
   }
 
@@ -366,59 +407,6 @@ class HashJoinOperator : public Operator {
   }
 
  private:
-  /// Opens and drains both children, then builds and probes into pairs_.
-  Status Join(ExecContext* ec) {
-    stage.op = "hash_join";
-    Status st = children_[0]->Open(ec);
-    if (!st.ok()) return st;
-    st = children_[1]->Open(ec);
-    if (!st.ok()) return st;
-    DrainInto(children_[0].get(), &left_rows_, &stage.elapsed_us);
-    DrainInto(children_[1].get(), &right_rows_, &stage.elapsed_us);
-    const uint64_t t0 = NowMicros();
-    stage.rows_in = left_rows_.size() + right_rows_.size();
-
-    // Build on the smaller materialized input (ties keep the legacy
-    // right-side build).
-    const bool build_left = left_rows_.size() < right_rows_.size();
-    stage.build_side = build_left ? "left" : "right";
-    stage.build_rows = build_left ? left_rows_.size() : right_rows_.size();
-    stage.probe_rows = build_left ? right_rows_.size() : left_rows_.size();
-
-    const std::vector<Row>& build = build_left ? left_rows_ : right_rows_;
-    const uint32_t build_key = build_left ? probe_column_ : build_column_;
-    std::unordered_map<int64_t, std::vector<uint32_t>> hash;
-    hash.reserve(build.size());
-    for (uint32_t i = 0; i < build.size(); ++i) {
-      const Row& r = build[i];
-      if (build_key < r.size() && r[build_key].type() == ValueType::kInt)
-        hash[r[build_key].as_int()].push_back(i);
-    }
-
-    const std::vector<Row>& probe = build_left ? right_rows_ : left_rows_;
-    const uint32_t probe_key = build_left ? build_column_ : probe_column_;
-    for (uint32_t i = 0; i < probe.size(); ++i) {
-      const Row& r = probe[i];
-      if (probe_key >= r.size() || r[probe_key].type() != ValueType::kInt)
-        continue;
-      const auto it = hash.find(r[probe_key].as_int());
-      if (it == hash.end()) continue;
-      for (uint32_t j : it->second) {
-        // Pairs are always (left index, right index) regardless of which
-        // side was hashed.
-        pairs_.emplace_back(build_left ? j : i, build_left ? i : j);
-      }
-    }
-    if (build_left) {
-      // Probing the right side emitted pairs in (right, left) order;
-      // restore the canonical (left, right) order.
-      std::sort(pairs_.begin(), pairs_.end());
-    }
-    stage.rows_out = pairs_.size();
-    stage.elapsed_us += NowMicros() - t0;
-    return Status::OK();
-  }
-
   const uint32_t probe_column_;
   const uint32_t build_column_;
 
@@ -426,6 +414,8 @@ class HashJoinOperator : public Operator {
   std::vector<Row> right_rows_;
   std::vector<std::pair<uint32_t, uint32_t>> pairs_;
   size_t next_ = 0;
+  /// The folded join's table on right_rows_, alive while the probe folds.
+  std::optional<JoinTable> table_;
 };
 
 std::unique_ptr<Operator> MakeOperator(const PlanNode& node) {

@@ -56,9 +56,11 @@ class Operator {
   /// output row folded into `fold` instead of handed out through NextBatch.
   /// Records where the fold ran in `agg->fold`: "scan" (a scan leaf folds
   /// each IMCU's matches on their codes inside its scan tasks), "join" (a
-  /// hash join folds its match pairs as the joined layout) or "rows" (this
-  /// default: drain NextBatch and fold the materialized rows in round-robin
-  /// batch partials, timed into `agg`).
+  /// hash join builds on its joinee and adds it to the fold's join chain, so
+  /// its probe input — in the end the fact scan leaf — folds the joined rows
+  /// without building them) or "rows" (this default: drain NextBatch and
+  /// fold the materialized rows in round-robin batch partials, timed into
+  /// `agg`).
   virtual Status OpenFolded(ExecContext* ec, GroupFold* fold,
                             OperatorStage* agg);
 

@@ -96,8 +96,10 @@ struct PlanNode {
   std::vector<AggSpec> aggregates;
 
   // kHashJoin — children[0] is the probe (left/accumulated) input,
-  // children[1] the joinee; the *operator* builds on whichever side
-  // materialized fewer rows.
+  // children[1] the joinee. The *operator* picks the build side: returning
+  // rows, it builds on whichever side materialized fewer rows; under an
+  // aggregate it builds on the joinee and the probe input folds through
+  // the join, so the probe runs inside the fact scan.
   uint32_t probe_column = 0;
   uint32_t build_column = 0;
 

@@ -41,11 +41,14 @@ struct OperatorStage {
   uint64_t rows_out = 0;
   uint64_t groups = 0;       ///< hash_agg: distinct group keys.
   /// hash_agg: where its input folded — "scan" (on IMCU codes inside the
-  /// scan tasks), "join" (off the join's match pairs) or "rows".
+  /// scan tasks), "join" (through the join chain, inside the fact scan's
+  /// tasks) or "rows".
   std::string fold;
   uint64_t build_rows = 0;   ///< hash_join: hash-table side input rows.
   uint64_t probe_rows = 0;   ///< hash_join: probe side input rows.
-  std::string build_side;    ///< hash_join: "left" | "right" (smaller input).
+  /// hash_join: "left" | "right" — the smaller input when returning rows,
+  /// always the joinee ("right") under an aggregate.
+  std::string build_side;
   /// Wall time of this operator's own Open and NextBatch work (children's
   /// time excluded, so stages never overlap).
   uint64_t elapsed_us = 0;

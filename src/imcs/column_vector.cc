@@ -127,13 +127,18 @@ IntColumnVector::IntColumnVector(const std::vector<std::optional<int64_t>>& valu
   std::vector<uint64_t> deltas(n_, 0);
   for (size_t i = 0; i < n_; ++i) {
     if (values[i].has_value()) {
-      deltas[i] = static_cast<uint64_t>(values[i].value() - base_);
+      deltas[i] = static_cast<uint64_t>(values[i].value()) -
+                  static_cast<uint64_t>(base_);
     } else {
       SetBit(&nulls_, i);
     }
   }
+  // Offsets wrap in uint64_t: a column holding both INT64_MIN and INT64_MAX
+  // spans 2^64 - 1, past int64_t.
   const uint8_t width =
-      all_null_ ? 0 : BitPackedArray::WidthFor(static_cast<uint64_t>(max_ - min_));
+      all_null_ ? 0
+                : BitPackedArray::WidthFor(static_cast<uint64_t>(max_) -
+                                           static_cast<uint64_t>(min_));
   packed_ = BitPackedArray::Pack(deltas, width);
 }
 

@@ -121,7 +121,9 @@ class IntColumnVector final : public ColumnVector {
     return (nulls_[row >> 6] >> (row & 63)) & 1;
   }
   Value Get(size_t row) const override;
-  int64_t GetInt(size_t row) const { return base_ + static_cast<int64_t>(packed_.Get(row)); }
+  int64_t GetInt(size_t row) const {
+    return static_cast<int64_t>(static_cast<uint64_t>(base_) + packed_.Get(row));
+  }
   size_t ApproxBytes() const override;
 
   void Filter(PredOp op, const Value& value, std::vector<uint32_t>* out) const override;

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -12,6 +13,7 @@
 namespace stratus {
 
 class Imcu;
+class JoinTable;
 
 /// Aggregate function. The scan engine folds it off the encoded columns
 /// (push-down, [11]); every other input folds materialized rows.
@@ -111,13 +113,20 @@ struct AggState {
 /// The one grouped-aggregate accumulator: GROUP BY `group_by` with one
 /// AggState per AggSpec per group. Every aggregate input folds through it
 /// without building rows where it can — a scan folds each IMCU's match
-/// bitmap on the packed codes (FoldImcu), a hash join folds its match pairs
-/// as the joined layout (FoldJoined) — and anything else folds materialized
-/// rows (FoldRow). The lone ungrouped push-down is the zero-key case.
+/// bitmap on the packed codes (FoldImcu) — and anything else folds
+/// materialized rows (FoldRow). The lone ungrouped push-down is the zero-key
+/// case.
 ///
-/// Row semantics, identical on every input: a key column past the row's
-/// arity is NULL; COUNT counts every row; SUM/MIN/MAX skip NULL and non-int
-/// inputs (and inputs past the row's arity). Every fold is order-
+/// A join under the aggregate does not hand rows up either: each hash join
+/// appends its joinee table to the fold's join chain (AddJoin), and every
+/// input row then folds as the joined rows `input ++ joinee row` it expands
+/// into, probing each edge innermost first — from the IMCU codes in FoldImcu,
+/// from the materialized row in FoldRow — so the chain bottoms out in the
+/// fact scan's tasks.
+///
+/// Row semantics, identical on every input: a key column past the (joined)
+/// row's arity is NULL; COUNT counts every row; SUM/MIN/MAX skip NULL and
+/// non-int inputs (and inputs past the row's arity). Every fold is order-
 /// independent, so partials folded over disjoint inputs in any split merge
 /// to the same groups.
 class GroupFold {
@@ -129,23 +138,36 @@ class GroupFold {
   /// `specs` must be non-empty (a group with no aggregate folds nothing).
   GroupFold(std::vector<uint32_t> group_by, std::vector<AggSpec> specs);
 
-  /// An empty fold over the same keys and aggregates (a task's partial).
-  GroupFold Partial() const { return GroupFold(group_by_, specs_); }
+  /// An empty fold over the same keys, aggregates and join chain (a task's
+  /// partial).
+  GroupFold Partial() const;
 
-  /// Folds one materialized row.
+  /// Joins every input row to `table`'s rows: input column `probe_column`
+  /// equals the table's key (JoinTable::KeyOf on both sides). Called by each
+  /// join of a left-deep chain before its input folds, outermost first, so
+  /// group-by and aggregate columns address `input ++ joinee_1 ++ … ++
+  /// joinee_n` with joinee_1 the innermost. `table` (and its rows) must
+  /// outlive every fold. Returns the step's handle for ProbedRows/JoinedRows.
+  size_t AddJoin(const JoinTable* table, uint32_t probe_column);
+
+  /// Folds one materialized input row (and the joined rows it expands into).
   void FoldRow(const Row& row);
-  /// Folds the joined row `left ++ right` without building it.
-  void FoldJoined(const Row& left, const Row& right);
   /// Folds the rows of `imcu` set in `match` (BitmapWords(num_rows) words)
-  /// on their encoded codes; returns how many rows that was. Codes are per
-  /// IMCU, so each touched group's key decodes once per call.
+  /// on their encoded codes, through the join chain if any; returns how many
+  /// input rows that was. Codes are per IMCU, so each touched group's key
+  /// decodes once per call.
   uint64_t FoldImcu(const Imcu& imcu, const uint64_t* match);
 
   /// Folds a partial built over a disjoint input into this one.
   void Merge(GroupFold&& other);
 
-  /// Input rows folded so far (this fold and everything merged into it).
-  uint64_t rows() const { return rows_; }
+  /// Rows folded so far (this fold and everything merged into it): joined
+  /// rows when the fold has a join chain.
+  uint64_t rows() const { return level_rows_.back(); }
+  /// Rows that probed join step `step` (AddJoin's handle), and rows it
+  /// joined into.
+  uint64_t ProbedRows(size_t step) const;
+  uint64_t JoinedRows(size_t step) const;
 
   /// The zero-key group's state of aggregate `i` (the push-down result; an
   /// empty state when no row was folded).
@@ -159,15 +181,41 @@ class GroupFold {
     size_t operator()(const Row& key) const;
   };
   using GroupMap = std::unordered_map<Row, std::vector<AggState>, KeyHash>;
+  struct JoinChain;
+  struct JoinPlan;
 
   std::vector<AggState>& Group(const Row& key);
+  /// Folds the row `segs[0] ++ … ++ segs[n - 1]` without building it.
+  void FoldSegments(const Row* const* segs, size_t n);
+  /// Expands segs_ (an input row and its joinee rows for edges < `edge`)
+  /// through the remaining edges and folds every joined row.
+  void ExpandRow(size_t edge);
+  /// Merges each touched slot of an IMCU fold's array accumulators (one
+  /// AggState per spec per slot) into its group; `fill_key(slot)` appends
+  /// the slot's key tuple to key_.
+  template <typename FillKey>
+  void MergeSlots(const std::vector<AggState>& acc, const FillKey& fill_key);
+  /// FoldImcu through the join chain, with `plan` resolved for this IMCU's
+  /// width.
+  void FoldImcuJoined(const Imcu& imcu, const uint64_t* match,
+                      uint64_t matched, const JoinPlan& plan);
+  /// Resolves the keys, inputs and joins for input rows `width` columns
+  /// wide.
+  JoinPlan BuildPlan(uint32_t width) const;
+  /// The chain's plan for `width` (built once per width, shared by every
+  /// partial); null when a joinee's rows differ in width.
+  const JoinPlan* PlanFor(uint32_t width) const;
 
   std::vector<uint32_t> group_by_;
   std::vector<AggSpec> specs_;
   GroupMap groups_;                  ///< Keyed groups.
   std::vector<AggState> ungrouped_;  ///< The zero-key group, once a row folds.
-  uint64_t rows_ = 0;
-  Row key_;  ///< Reused key buffer for the per-row folds.
+  std::shared_ptr<JoinChain> chain_;  ///< Null without a join.
+  /// [0]: input rows folded; [k + 1]: rows out of join edge k (innermost
+  /// first). The last entry is rows().
+  std::vector<uint64_t> level_rows_;
+  Row key_;                        ///< Reused key buffer for the per-row folds.
+  std::vector<const Row*> segs_;   ///< Reused joined-row segments (FoldRow).
 };
 
 }  // namespace stratus

@@ -1,5 +1,7 @@
 #include "imcs/column_vector.h"
 
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <set>
 
@@ -87,6 +89,24 @@ TEST(IntColumnVectorTest, NegativeValues) {
   EXPECT_EQ(col.GetInt(1), -1);
   auto matches = KernelFilter(col, PredOp::kGe, Value(int64_t{-50}));
   EXPECT_EQ(matches, (std::set<uint32_t>{1, 2}));
+}
+
+// A column spanning the whole int64 range packs 64-bit offsets from
+// INT64_MIN; its code count saturates at UINT64_MAX.
+TEST(IntColumnVectorTest, FullInt64Range) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  std::vector<std::optional<int64_t>> values = {kMax, std::nullopt, kMin, -1, 0};
+  IntColumnVector col(values);
+  EXPECT_EQ(col.GetInt(0), kMax);
+  EXPECT_EQ(col.GetInt(2), kMin);
+  EXPECT_EQ(col.GetInt(3), -1);
+  EXPECT_EQ(col.Get(4), Value(int64_t{0}));
+  EXPECT_TRUE(col.Get(1).is_null());
+  EXPECT_EQ(col.num_codes(), UINT64_MAX);
+  EXPECT_EQ(col.DecodeCode(col.codes().Get(0)), Value(kMax));
+  EXPECT_EQ(KernelFilter(col, PredOp::kLt, Value(int64_t{0})),
+            (std::set<uint32_t>{2, 3}));
 }
 
 TEST(StringColumnVectorTest, DictionaryEncoding) {

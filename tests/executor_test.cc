@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <limits>
 #include <map>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -15,19 +17,25 @@
 #include "common/random.h"
 #include "db/database.h"
 #include "db/query.h"
+#include "imcs/column_vector.h"
+#include "imcs/group_fold.h"
+#include "imcs/imcu.h"
+#include "imcs/join_table.h"
 #include "imcs/scan_kernels.h"
 
 namespace stratus {
 namespace {
 
 /// Primary-only fixture: WideTable(2, 1) — id, n1, n2, c1 — with 200 rows,
-/// n1 = id % 10, n2 = id % 7, c1 = "g<id % 4>". Repopulation is disabled so
-/// the planner's invalidity view is exactly what the tests created.
+/// n1 = id % 10, n2 = id % 7, c1 = "g<id % 4>". The population manager never
+/// starts: PopulateNow builds IMCUs synchronously, so no background pass can
+/// land inside a load transaction (whose commit would invalidate the IMCU it
+/// built) or populate a table a test expects uncovered. Repopulation is
+/// disabled so the planner's invalidity view is exactly what the tests
+/// created.
 class ExecutorTest : public ::testing::Test {
  protected:
-  explicit ExecutorTest(const DatabaseOptions& options = MakeOptions())
-      : db_(options) {
-    db_.Start();
+  ExecutorTest() : db_(MakeOptions()) {
     table_ = db_.CreateTable("t", kDefaultTenant, Schema::WideTable(2, 1),
                              ImService::kPrimaryOnly, /*identity_index=*/true)
                  .value();
@@ -45,7 +53,6 @@ class ExecutorTest : public ::testing::Test {
     // Keep repopulation out of the picture: planner tests control invalidity.
     options.population.repop_invalid_threshold = 2.0;
     options.population.repop_staleness_us = 0;
-    options.population.manager_interval_us = 60'000'000;
     return options;
   }
 
@@ -669,8 +676,9 @@ TEST_F(ExecutorTest, MultiJoinDopSweepIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// GroupFold: aggregates fold on IMCU codes inside the scan tasks, off join
-// match pairs, or off materialized rows — one fold, one set of row semantics.
+// GroupFold: aggregates fold on IMCU codes inside the scan tasks — through
+// the join chain when joins feed them — or off materialized rows: one fold,
+// one set of row semantics.
 // ---------------------------------------------------------------------------
 
 /// Hand fold of `rows` under the row semantics every fold path must keep: a
@@ -681,7 +689,7 @@ std::vector<Row> OracleFold(const std::vector<Row>& rows,
                             const std::vector<uint32_t>& group_by,
                             const std::vector<AggSpec>& specs) {
   struct Acc {
-    int64_t count = 0, sum = 0, min = 0, max = 0;
+    int64_t count = 0, value = 0;
     bool started = false;
   };
   std::map<Row, std::vector<Acc>> groups;
@@ -699,9 +707,10 @@ std::vector<Row> OracleFold(const std::vector<Row>& rows,
           row[c].type() != ValueType::kInt)
         continue;
       const int64_t v = row[c].as_int();
-      a.sum = a.started ? a.sum + v : v;
-      a.min = a.started ? std::min(a.min, v) : v;
-      a.max = a.started ? std::max(a.max, v) : v;
+      a.value = !a.started                       ? v
+                : specs[i].kind == AggKind::kSum ? a.value + v
+                : specs[i].kind == AggKind::kMin ? std::min(a.value, v)
+                                                 : std::max(a.value, v);
       a.started = true;
     }
   }
@@ -711,13 +720,10 @@ std::vector<Row> OracleFold(const std::vector<Row>& rows,
     Row row = key;
     for (size_t i = 0; i < specs.size(); ++i) {
       const Acc& a = accs[i];
-      const int64_t v = specs[i].kind == AggKind::kSum   ? a.sum
-                        : specs[i].kind == AggKind::kMin ? a.min
-                                                         : a.max;
       if (specs[i].kind == AggKind::kCount) {
         row.push_back(Value(a.count));
       } else {
-        row.push_back(a.started ? Value(v) : Value());
+        row.push_back(a.started ? Value(a.value) : Value());
       }
     }
     out.push_back(std::move(row));
@@ -733,7 +739,7 @@ class GroupFoldTest : public ExecutorTest {
  protected:
   static constexpr int64_t kRows = 2 * 16 * kRowsPerBlock;
 
-  GroupFoldTest() : ExecutorTest(Options()) {
+  GroupFoldTest() {
     two_ = db_.CreateTable("two", kDefaultTenant, Schema::WideTable(2, 1),
                            ImService::kPrimaryOnly, /*identity_index=*/true)
                .value();
@@ -746,15 +752,6 @@ class GroupFoldTest : public ExecutorTest {
     const auto smus = db_.im_store()->SmusForObject(two_);
     EXPECT_EQ(smus.size(), 2u);
     for (const auto& smu : smus) EXPECT_EQ(smu->invalid_count(), 0u);
-  }
-
-  /// A background population pass that lands inside the load transaction
-  /// builds IMCUs the commit then invalidates almost whole; PopulateNow
-  /// repopulates those, never one the tests' 10% updates invalidate.
-  static DatabaseOptions Options() {
-    DatabaseOptions options = MakeOptions();
-    options.population.repop_invalid_threshold = 0.5;
-    return options;
   }
 
   /// Row `id` (id, n1, n2, c1); `bump` shifts n2 so an update changes the
@@ -816,6 +813,73 @@ class GroupFoldTest : public ExecutorTest {
         }
       }
     }
+  }
+
+  /// A table of `schema` holding `rows`, outside the IMCS (a joinee is read
+  /// as rows on either path).
+  ObjectId MakeTable(const std::string& name, Schema schema,
+                     const std::vector<Row>& rows) {
+    const ObjectId object =
+        db_.CreateTable(name, kDefaultTenant, std::move(schema),
+                        ImService::kNone, false)
+            .value();
+    Transaction txn = db_.Begin();
+    for (const Row& row : rows)
+      EXPECT_TRUE(db_.Insert(&txn, object, row, nullptr).ok());
+    EXPECT_TRUE(db_.Commit(&txn).ok());
+    return object;
+  }
+
+  /// Runs the grouped join `mj` on both access paths at DOP 1/2/8 under
+  /// every kernel. Every run must fold through the join chain and return
+  /// OracleFold over the row-returning join's rows, with the aggregate's
+  /// input, the profile's matches and the outermost join's output all equal
+  /// to that join's row count. Returns the expected rows.
+  std::vector<Row> ExpectJoinEverywhere(MultiJoinQuery mj,
+                                        const std::string& what) {
+    struct OverrideGuard {
+      ~OverrideGuard() { ClearScanKernelOverride(); }
+    } guard;
+    MultiJoinQuery raw = mj;
+    raw.group_by.clear();
+    raw.aggregates.clear();
+    const auto joined = db_.MultiJoin(raw);
+    EXPECT_TRUE(joined.ok()) << what;
+    if (!joined.ok()) return {};
+    const std::vector<Row> want =
+        OracleFold(joined->rows, mj.group_by, mj.aggregates);
+    for (const ScanKernel kernel :
+         {ScanKernel::kScalar, ScanKernel::kSwar, ScanKernel::kAvx2}) {
+      ForceScanKernel(kernel);
+      for (const bool force_row : {false, true}) {
+        for (const uint32_t dop : {1u, 2u, 8u}) {
+          mj.force_row_store = force_row;
+          mj.dop = dop;
+          const auto result = db_.MultiJoin(mj);
+          const std::string ctx = what + " kernel=" + ScanKernelName(kernel) +
+                                  " force_row=" + std::to_string(force_row) +
+                                  " dop=" + std::to_string(dop);
+          EXPECT_TRUE(result.ok()) << ctx;
+          if (!result.ok()) continue;
+          EXPECT_EQ(result->rows, want) << ctx;
+          const OperatorStage* agg = AggStage(*result);
+          const OperatorStage* join = nullptr;  // The outermost join.
+          for (const OperatorStage& s : result->profile.stages) {
+            if (s.op == "hash_join") join = &s;
+          }
+          EXPECT_TRUE(agg != nullptr && join != nullptr) << ctx;
+          if (agg == nullptr || join == nullptr) continue;
+          EXPECT_EQ(agg->fold, "join") << ctx;
+          EXPECT_EQ(agg->rows_in, joined->rows.size()) << ctx;
+          EXPECT_EQ(result->profile.matches, joined->rows.size()) << ctx;
+          EXPECT_EQ(join->rows_out, joined->rows.size()) << ctx;
+          if (!force_row && !ForceRowPathEnv()) {
+            EXPECT_EQ(ScanStage(*result, mj.fact)->path, "imcs") << ctx;
+          }
+        }
+      }
+    }
+    return want;
   }
 
   ObjectId two_ = kInvalidObjectId;
@@ -952,9 +1016,10 @@ TEST_F(GroupFoldTest, RowSemanticsKept) {
   ExpectEverywhere(past, one);
 }
 
-// One join + group-by folded three ways — off the match pairs, off the rows a
-// residual filter passes, and with both leaves on the row store — gives the
-// same rows; the pairs span several fold chunks.
+// One join + group-by folded three ways — through the join chain inside the
+// fact scan, off the rows a residual filter passes, and with both leaves on
+// the row store — gives the same rows; the joined rows outnumber the array
+// slot cap.
 TEST_F(GroupFoldTest, JoinFoldMatchesRowFold) {
   struct OverrideGuard {
     ~OverrideGuard() { ClearScanKernelOverride(); }
@@ -1011,6 +1076,136 @@ TEST_F(GroupFoldTest, JoinFoldMatchesRowFold) {
   }
 }
 
+// The join chain folds fact codes through every edge exactly as the
+// row-returning join pairs rows: duplicate keys on both sides, NULL and
+// string probe keys, NULL and string joinee keys, a probe column past the
+// fact, an empty joinee, a second edge probing the first joinee, a wide fact
+// key beside a joinee key, aggregates over joinee columns, and SMU-invalid
+// fact rows.
+TEST_F(GroupFoldTest, JoinChainMatchesRowJoin) {
+  const Schema dup_schema(std::vector<ColumnDef>{{"key", ValueType::kInt},
+                                                 {"label", ValueType::kString},
+                                                 {"weight", ValueType::kInt}});
+  // Keys of both fact halves (plus one no fact row has), k % 3 + 1 rows
+  // each; a weight NULL on every third copy; three NULL-key rows.
+  std::vector<Row> dup_rows;
+  for (int64_t half : {int64_t{0}, int64_t{1000}}) {
+    for (int64_t k = half; k < half + 9; ++k) {
+      for (int64_t copy = 0; copy <= k % 3; ++copy) {
+        dup_rows.push_back(Row{Value(k),
+                               Value("d" + std::to_string(k % 6)),
+                               copy == 2 ? Value() : Value(k % 4)});
+      }
+    }
+  }
+  for (int64_t i = 0; i < 3; ++i)
+    dup_rows.push_back(Row{Value(), Value(std::string("nullkey")), Value(i)});
+  const ObjectId dup = MakeTable("dup", dup_schema, dup_rows);
+  const ObjectId empty = MakeTable("empty", dup_schema, {});
+  // Second-edge joinee on dup.weight: key 1 twice, a NULL key.
+  const ObjectId weights = MakeTable(
+      "weights",
+      Schema(std::vector<ColumnDef>{{"key", ValueType::kInt},
+                                    {"name", ValueType::kString}}),
+      {Row{Value(int64_t{0}), Value(std::string("w0"))},
+       Row{Value(int64_t{1}), Value(std::string("w1"))},
+       Row{Value(int64_t{1}), Value(std::string("w1b"))},
+       Row{Value(int64_t{3}), Value(std::string("w3"))},
+       Row{Value(), Value(std::string("wnull"))}});
+
+  // Joined layout: two (id, n1, n2, c1) ++ dup (key 4, label 5, weight 6)
+  // ++ weights (key 7, name 8).
+  MultiJoinQuery nm;
+  nm.fact = two_;
+  nm.joins = {JoinEdge{dup, 1, 0, {}}};
+  nm.group_by = {3, 5};
+  nm.aggregates = {{AggKind::kCount, 0},
+                   {AggKind::kSum, 2},
+                   {AggKind::kMin, 6},
+                   {AggKind::kMax, 6},
+                   {AggKind::kSum, 4}};
+  const std::vector<Row> nm_rows = ExpectJoinEverywhere(nm, "n:m");
+  EXPECT_GT(nm_rows.size(), 8u);
+
+  MultiJoinQuery wide = nm;  // Fact id spans 4,097 codes per IMCU.
+  wide.group_by = {0, 5};
+  wide.aggregates = {{AggKind::kCount, 0}, {AggKind::kMax, 6}};
+  EXPECT_GT(ExpectJoinEverywhere(wide, "wide").size(), 4096u);
+
+  // A fact key holding INT64_MIN and INT64_MAX in one IMCU saturates its
+  // code count: it decodes per row, beside a joinee key or alone.
+  const ObjectId extremes =
+      db_.CreateTable("extremes", kDefaultTenant, Schema::WideTable(2, 1),
+                      ImService::kPrimaryOnly, /*identity_index=*/true)
+          .value();
+  Transaction load = db_.Begin();
+  for (int64_t id = 0; id < 60; ++id) {
+    const int64_t spread[] = {std::numeric_limits<int64_t>::min(),
+                              std::numeric_limits<int64_t>::max(), -1, 0, 1};
+    const Value n1 = id % 6 == 5 ? Value() : Value(spread[id % 6]);
+    ASSERT_TRUE(db_.Insert(&load, extremes,
+                           Row{Value(id), n1, Value(id % 9),
+                               Value(std::string("x"))},
+                           nullptr)
+                    .ok());
+  }
+  ASSERT_TRUE(db_.Commit(&load).ok());
+  ASSERT_TRUE(db_.PopulateNow(extremes).ok());
+  MultiJoinQuery full_range;
+  full_range.fact = extremes;
+  full_range.joins = {JoinEdge{dup, 2, 0, {}}};
+  full_range.aggregates = {{AggKind::kCount, 0},
+                           {AggKind::kMin, 1},
+                           {AggKind::kMax, 1},
+                           {AggKind::kSum, 6}};
+  for (const std::vector<uint32_t>& keys :
+       std::vector<std::vector<uint32_t>>{{1, 5}, {5, 1}, {1}}) {
+    full_range.group_by = keys;
+    EXPECT_GE(ExpectJoinEverywhere(full_range, "full int64 range").size(), 6u);
+  }
+
+  MultiJoinQuery chain = nm;
+  chain.joins.push_back(JoinEdge{weights, 6, 0, {}});
+  chain.group_by = {8, 5};
+  chain.aggregates = {{AggKind::kCount, 0},
+                      {AggKind::kSum, 2},
+                      {AggKind::kMax, 7},
+                      {AggKind::kMin, 4}};
+  EXPECT_FALSE(ExpectJoinEverywhere(chain, "two edges").empty());
+
+  // Joins that match nothing: grouped they have no rows, ungrouped one row
+  // (COUNT 0, the rest NULL).
+  const std::vector<Row> none = {Row{Value(int64_t{0}), Value()}};
+  for (const auto& [edge, what] : std::vector<std::pair<JoinEdge, std::string>>{
+           {JoinEdge{dup, 3, 0, {}}, "string probe key"},
+           {JoinEdge{dup, 1, 1, {}}, "string joinee key"},
+           {JoinEdge{dup, 6, 0, {}}, "probe past the fact"},
+           {JoinEdge{empty, 1, 0, {}}, "empty joinee"}}) {
+    MultiJoinQuery q = nm;
+    q.joins = {edge};
+    EXPECT_TRUE(ExpectJoinEverywhere(q, what).empty()) << what;
+    q.group_by.clear();
+    q.aggregates = {{AggKind::kCount, 0}, {AggKind::kSum, 6}};
+    EXPECT_EQ(ExpectJoinEverywhere(q, what + " ungrouped"), none) << what;
+  }
+
+  // Fact rows changed after population (n2 moves, the group does not)
+  // reconcile from the row store and join through the same chain.
+  Transaction txn = db_.Begin();
+  for (int64_t id = 1; id < kRows; id += 10) {
+    ASSERT_TRUE(db_.UpdateByKey(&txn, two_, id, MakeRow(id, 100)).ok());
+  }
+  ASSERT_TRUE(db_.Commit(&txn).ok());
+  const auto reconciled = db_.MultiJoin(nm);
+  ASSERT_TRUE(reconciled.ok());
+  if (!ForceRowPathEnv()) {  // The row-path sweep pass forces every plan.
+    EXPECT_GT(reconciled->stats.invalid_rowpath, 0u);
+    EXPECT_GT(reconciled->stats.rows_from_imcs, 0u);
+  }
+  EXPECT_NE(ExpectJoinEverywhere(nm, "invalid n:m"), nm_rows);
+  ExpectJoinEverywhere(chain, "invalid two edges");
+}
+
 // A grouped scan folds in the scan leaf, and the leaf's matches, the
 // aggregate's input, the profile's matches and an ungrouped COUNT agree.
 TEST_F(GroupFoldTest, ScanFoldStageContract) {
@@ -1041,6 +1236,94 @@ TEST_F(GroupFoldTest, ScanFoldStageContract) {
     EXPECT_NE(grouped->profile.Explain().find("fold=scan"), std::string::npos);
     EXPECT_NE(grouped->profile.ToJson().find("\"fold\":\"scan\""),
               std::string::npos);
+  }
+}
+
+// A joinee whose rows differ in width fits no one column plan (an
+// IMCS-served joinee reads that way when some of its IMCUs predate an IM
+// expression): FoldImcu then joins each matched fact row materialized, as
+// FoldRow does. Both folds equal OracleFold over the joined rows and count
+// the join's rows alike.
+TEST(GroupFoldChainTest, RaggedJoineeJoinsMaterializedRows) {
+  // One block of fact rows (id, n1): rows 0..11 present, n1 = id % 4, NULL
+  // at id 7; row 5 does not match.
+  Imcu imcu(1, kDefaultTenant, /*snapshot_scn=*/1, std::vector<Dba>{100},
+            Schema::WideTable(1, 0));
+  std::vector<std::optional<int64_t>> ids(imcu.num_rows()), n1(imcu.num_rows());
+  std::vector<uint64_t> match(BitmapWords(imcu.num_rows()));
+  std::vector<Row> fact;
+  for (uint32_t r = 0; r < 12; ++r) {
+    ids[r] = r;
+    if (r != 7) n1[r] = r % 4;
+    imcu.SetPresent(r);
+    if (r == 5) continue;
+    match[r >> 6] |= uint64_t{1} << (r & 63);
+  }
+  std::vector<std::unique_ptr<ColumnVector>> cols;
+  cols.push_back(std::make_unique<IntColumnVector>(ids));
+  cols.push_back(std::make_unique<IntColumnVector>(n1));
+  imcu.SetColumns(std::move(cols));
+  for (uint32_t r = 0; r < 12; ++r) {
+    if (r != 5) fact.push_back(imcu.Materialize(r));
+  }
+
+  // Joinee (key, label[, weight]): key 1 twice, a NULL key.
+  const std::vector<Row> joinee = {
+      Row{Value(int64_t{0}), Value(std::string("a"))},
+      Row{Value(int64_t{1}), Value(std::string("b")), Value(int64_t{10})},
+      Row{Value(int64_t{1}), Value(std::string("c"))},
+      Row{Value(int64_t{3}), Value(std::string("d")), Value(int64_t{30})},
+      Row{Value(), Value(std::string("n")), Value(int64_t{5})}};
+  const JoinTable table(joinee, 0);
+  std::vector<Row> joined;  // fact (id, n1) ++ joinee, in fact order.
+  for (const Row& f : fact) {
+    for (const Row& j : joinee) {
+      if (f[1].type() == ValueType::kInt && j[0].type() == ValueType::kInt &&
+          f[1].as_int() == j[0].as_int()) {
+        Row row = f;
+        row.insert(row.end(), j.begin(), j.end());
+        joined.push_back(std::move(row));
+      }
+    }
+  }
+  // n1 0 (ids 0, 4, 8) joins once, 1 (1, 9) twice, 3 (3, 11) once; 2 and
+  // NULL join nothing.
+  ASSERT_EQ(joined.size(), 9u);
+
+  const std::vector<AggSpec> specs = {{AggKind::kCount, 0},
+                                      {AggKind::kSum, 4},
+                                      {AggKind::kMax, 1}};
+  const auto rows_of = [&](GroupFold& fold) {
+    std::vector<Row> out;
+    for (auto& [key, states] : fold.TakeSorted()) {
+      Row row = key;
+      for (size_t i = 0; i < specs.size(); ++i) {
+        if (specs[i].kind == AggKind::kCount) {
+          row.push_back(Value(static_cast<int64_t>(states[i].count)));
+        } else {
+          row.push_back(states[i].started ? Value(states[i].acc) : Value());
+        }
+      }
+      out.push_back(std::move(row));
+    }
+    return out;
+  };
+  for (const std::vector<uint32_t>& keys :
+       std::vector<std::vector<uint32_t>>{{3}, {4, 1}, {}}) {
+    GroupFold by_codes(keys, specs);
+    const size_t step = by_codes.AddJoin(&table, 1);
+    EXPECT_EQ(by_codes.FoldImcu(imcu, match.data()), fact.size());
+    GroupFold by_rows(keys, specs);
+    by_rows.AddJoin(&table, 1);
+    for (const Row& f : fact) by_rows.FoldRow(f);
+    for (GroupFold* fold : {&by_codes, &by_rows}) {
+      EXPECT_EQ(fold->ProbedRows(step), fact.size());
+      EXPECT_EQ(fold->JoinedRows(step), joined.size());
+      EXPECT_EQ(fold->rows(), joined.size());
+    }
+    const std::vector<Row> want = OracleFold(joined, keys, specs);
+    EXPECT_EQ(rows_of(by_codes), want) << keys.size() << " keys";
+    EXPECT_EQ(rows_of(by_rows), want) << keys.size() << " keys";
   }
 }
 

@@ -84,13 +84,15 @@ TEST(SlowQueryLogTest, InFlightRegistersAndClears) {
 /// 2048 rows over 8 blocks, 2 blocks per IMCU → exactly 4 IMCUs, with
 /// column 1 holding the row ordinal so every IMCU's storage-index range on
 /// that column is disjoint by construction. That makes pruning exact: a
-/// kEq pivot lands in precisely one IMCU's [min,max].
+/// kEq pivot lands in precisely one IMCU's [min,max]. The population manager
+/// never starts (PopulateNow builds synchronously), so no background pass
+/// can build an IMCU inside the load transaction for its commit to
+/// invalidate.
 class QueryProfileTest : public ::testing::Test {
  protected:
   static constexpr int64_t kRows = 8 * kRowsPerBlock;  // 2048.
 
   QueryProfileTest() : db_(MakeOptions()) {
-    db_.Start();
     table_ = db_.CreateTable("fact", kDefaultTenant, Schema::WideTable(1, 1),
                              ImService::kPrimaryOnly, /*identity_index=*/true)
                  .value();
@@ -336,6 +338,60 @@ TEST_F(QueryProfileTest, StagesAssemblyAndUnattributedAddUpToWall) {
   ASSERT_TRUE(folded.ok());
   ASSERT_EQ(folded->rows.size(), 4u);
   check(folded->profile, "join + group-by");
+
+  // The folded join's stages tell the truth: the fact leaf counts the fact
+  // rows its predicates matched, the join its joinee build and fact-match
+  // probe, and the join, the aggregate and the profile the joined rows —
+  // also when predicates on both sides make those counts differ.
+  for (const bool filtered : {false, true}) {
+    const std::string what = filtered ? "filtered" : "unfiltered";
+    MultiJoinQuery q = join;
+    if (filtered) {
+      q.fact_predicates = {{0, PredOp::kLt, Value(int64_t{5000})}};
+      q.joins[0].predicates = {{0, PredOp::kLt, Value(int64_t{8})}};
+    }
+    ScanQuery fact_count;
+    fact_count.object = big;
+    fact_count.predicates = q.fact_predicates;
+    fact_count.aggregates = {{AggKind::kCount, 0}};
+    ScanQuery dim_count = fact_count;
+    dim_count.object = dim;
+    dim_count.predicates = q.joins[0].predicates;
+    MultiJoinQuery raw = q;
+    raw.group_by.clear();
+    raw.aggregates.clear();
+    const auto fact_matches = db_.Query(fact_count);
+    const auto dim_rows = db_.Query(dim_count);
+    const auto joined = db_.MultiJoin(raw);
+    const auto result = db_.MultiJoin(q);
+    ASSERT_TRUE(fact_matches.ok() && dim_rows.ok() && joined.ok() &&
+                result.ok())
+        << what;
+    const QueryProfile& prof = result->profile;
+    const OperatorStage* fact_leaf = nullptr;
+    const OperatorStage* hash_join = nullptr;
+    const OperatorStage* hash_agg = nullptr;
+    for (const OperatorStage& s : prof.stages) {
+      if (s.op == "scan" && s.object == big) fact_leaf = &s;
+      if (s.op == "hash_join") hash_join = &s;
+      if (s.op == "hash_agg") hash_agg = &s;
+    }
+    ASSERT_TRUE(fact_leaf != nullptr && hash_join != nullptr &&
+                hash_agg != nullptr)
+        << what;
+    EXPECT_EQ(hash_agg->fold, "join") << what;
+    EXPECT_EQ(fact_leaf->rows_out, fact_matches->count) << what;
+    EXPECT_EQ(hash_join->build_side, "right") << what;
+    EXPECT_EQ(hash_join->build_rows, dim_rows->count) << what;
+    EXPECT_EQ(hash_join->probe_rows, fact_matches->count) << what;
+    EXPECT_EQ(hash_join->rows_out, joined->rows.size()) << what;
+    EXPECT_EQ(hash_agg->rows_in, joined->rows.size()) << what;
+    EXPECT_EQ(prof.matches, joined->rows.size()) << what;
+    if (filtered) {
+      EXPECT_LT(joined->rows.size(), fact_matches->count);
+    }
+    check(prof, "folded join " + what);
+  }
 }
 
 TEST_F(QueryProfileTest, JoinProfileRecordsBothSides) {
