@@ -9,10 +9,10 @@
 namespace stratus {
 
 RecoveryCoordinator::RecoveryCoordinator(std::vector<RecoveryWorker*> workers,
-                                         FlushDriver* driver,
-                                         int64_t poll_interval_us)
-    : workers_(std::move(workers)), driver_(driver),
-      poll_interval_us_(poll_interval_us) {}
+                                         FlushDriver* driver)
+    : workers_(std::move(workers)), driver_(driver) {
+  for (RecoveryWorker* w : workers_) w->set_watermark_signal(&rises_);
+}
 
 RecoveryCoordinator::~RecoveryCoordinator() {
   if (thread_.joinable()) Stop();
@@ -27,6 +27,7 @@ void RecoveryCoordinator::Start() {
 
 void RecoveryCoordinator::Stop() {
   stop_.store(true, std::memory_order_release);
+  rises_.Notify();  // Ends the coordinator's wait for a watermark rise.
   // Release WaitForQueryScn waiters: once stopped, no publish will ever
   // satisfy them, and leaving them to sleep out their timeout stalls every
   // caller that raced with shutdown.
@@ -113,10 +114,15 @@ bool RecoveryCoordinator::TryAdvanceOnce() {
 
 void RecoveryCoordinator::Run() {
   try {
-    while (!stop_.load(std::memory_order_acquire)) {
-      if (!TryAdvanceOnce()) {
-        std::this_thread::sleep_for(std::chrono::microseconds(poll_interval_us_));
-      }
+    while (true) {
+      // Only a worker watermark rise can move the candidate. Reading the
+      // count before the attempt means a rise during it is never slept
+      // through: the wait then returns at once. Stop() sets the flag before
+      // bumping the count, so checking the flag after the read cannot miss it.
+      const uint64_t seen = rises_.count();
+      if (stop_.load(std::memory_order_acquire)) break;
+      TryAdvanceOnce();
+      rises_.WaitForChange(seen);
     }
   } catch (const chaos::CrashSignal&) {
     // The coordinator "process" dies here. If it died between FlushStep and

@@ -51,9 +51,10 @@ class FlushDriver {
 /// row marked invalid.
 class RecoveryCoordinator {
  public:
-  /// `workers` outlive the coordinator. `driver` may be null.
-  RecoveryCoordinator(std::vector<RecoveryWorker*> workers, FlushDriver* driver,
-                      int64_t poll_interval_us = 500);
+  /// `workers` outlive the coordinator and are not yet started; each gets the
+  /// coordinator's watermark signal, so a barrier that raises a worker's
+  /// watermark wakes the coordinator. `driver` may be null.
+  RecoveryCoordinator(std::vector<RecoveryWorker*> workers, FlushDriver* driver);
   ~RecoveryCoordinator();
 
   RecoveryCoordinator(const RecoveryCoordinator&) = delete;
@@ -110,8 +111,8 @@ class RecoveryCoordinator {
 
   std::vector<RecoveryWorker*> workers_;
   FlushDriver* driver_;
-  int64_t poll_interval_us_;
   chaos::ChaosController* chaos_ = nullptr;
+  WatermarkSignal rises_;  ///< Worker watermark rises; Stop() bumps it too.
 
   std::thread thread_;
   std::atomic<bool> stop_{false};

@@ -6,6 +6,24 @@
 
 namespace stratus {
 
+void WatermarkSignal::Notify() {
+  {
+    std::lock_guard<std::mutex> g(mu_);
+    ++count_;
+  }
+  cv_.notify_all();
+}
+
+uint64_t WatermarkSignal::count() const {
+  std::lock_guard<std::mutex> g(mu_);
+  return count_;
+}
+
+void WatermarkSignal::WaitForChange(uint64_t seen) const {
+  std::unique_lock<std::mutex> g(mu_);
+  cv_.wait(g, [&] { return count_ != seen; });
+}
+
 RecoveryWorker::RecoveryWorker(WorkerId id, ApplySink* sink, ApplyHooks* hooks,
                                FlushParticipant* flush, size_t queue_capacity)
     : id_(id), sink_(sink), hooks_(hooks), flush_(flush), capacity_(queue_capacity) {}
@@ -120,8 +138,10 @@ void RecoveryWorker::Run() {
           // acquire load in applied_watermark(), so the QuerySCN the
           // coordinator publishes from it happens-after every block change
           // the barrier covers.
-          if (entry.scn > watermark_.load(std::memory_order_relaxed))
+          if (entry.scn > watermark_.load(std::memory_order_relaxed)) {
             watermark_.store(entry.scn, std::memory_order_release);
+            if (rises_ != nullptr) rises_->Notify();
+          }
           continue;
         }
         {

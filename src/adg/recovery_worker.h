@@ -59,6 +59,23 @@ class FlushParticipant {
   virtual bool FlushStep(WorkerId invoker) = 0;
 };
 
+/// Counts applied-watermark rises across a set of recovery workers, so the
+/// recovery coordinator sleeps until one happens instead of polling. The
+/// counter sits under the mutex: a waiter that read it before an attempt
+/// returns at once if a rise landed during the attempt.
+class WatermarkSignal {
+ public:
+  void Notify();
+  uint64_t count() const;
+  /// Blocks until count() differs from `seen`.
+  void WaitForChange(uint64_t seen) const;
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  uint64_t count_ = 0;  ///< Guarded by mu_.
+};
+
 /// One entry in a recovery worker's queue: either a change vector to apply or
 /// a barrier announcing that every CV with SCN <= `scn` assigned to this
 /// worker has already been enqueued (so once drained, the worker's applied
@@ -83,6 +100,9 @@ class RecoveryWorker {
 
   /// Optional crash injection; must be set before Start().
   void set_chaos(chaos::ChaosController* chaos) { chaos_ = chaos; }
+  /// Notified whenever a barrier raises applied_watermark(); installed by the
+  /// recovery coordinator before Start().
+  void set_watermark_signal(WatermarkSignal* signal) { rises_ = signal; }
 
   void Start();
   /// Drains the queue, then stops the thread.
@@ -141,6 +161,7 @@ class RecoveryWorker {
   FlushParticipant* flush_;
   size_t capacity_;
   chaos::ChaosController* chaos_ = nullptr;
+  WatermarkSignal* rises_ = nullptr;
 
   std::thread thread_;
   std::atomic<bool> stop_{false};

@@ -19,7 +19,7 @@ RedoApplyEngine::RedoApplyEngine(std::unique_ptr<LogMerger> merger,
     std::vector<RecoveryWorker*> worker_ptrs;
     for (auto& w : workers_) worker_ptrs.push_back(w.get());
     coordinator_ = std::make_unique<RecoveryCoordinator>(
-        std::move(worker_ptrs), driver, options_.coordinator_poll_us);
+        std::move(worker_ptrs), driver);
     coordinator_->set_chaos(options_.chaos);
   }
 }
@@ -77,6 +77,7 @@ void RedoApplyEngine::BroadcastBarrier(Scn scn) {
 }
 
 void RedoApplyEngine::DispatchLoop() {
+  // Records dispatched since the last barrier; nonzero means one is owed.
   int since_barrier = 0;
   Scn last_scn = kInvalidScn;
   try {
@@ -87,17 +88,22 @@ void RedoApplyEngine::DispatchLoop() {
       // the surviving ReceivedLogs.
       STRATUS_CRASH_POINT(options_.chaos, chaos::CrashPoint::kDispatchHandoff);
       RedoRecord rec;
-      if (!merger_->Next(&rec, /*timeout_us=*/1000)) {
-        // Idle or stalled: nothing new to dispatch. Any barrier for `last_scn`
-        // has already been broadcast below, so just retry.
-        if (merger_->Finished()) break;
+      // While a barrier is owed, only look: the moment the merger has nothing
+      // more to emit, the barrier goes out instead of waiting for the next
+      // record. Every dispatched SCN is a consistency point — the merger
+      // emitted it only after every stream had passed it.
+      if (!merger_->Next(&rec, since_barrier > 0 ? 0 : /*timeout_us=*/1000)) {
+        if (since_barrier > 0) {
+          BroadcastBarrier(last_scn);
+          since_barrier = 0;
+        } else if (merger_->Finished()) {
+          break;
+        }
         continue;
       }
       STRATUS_SPAN(obs::Stage::kLogMerge, rec.scn);
-      bool heartbeat_only = true;
       for (ChangeVector& cv : rec.cvs) {
         if (cv.kind == CvKind::kHeartbeat) continue;
-        heartbeat_only = false;
         ApplyEntry entry;
         entry.kind = ApplyEntry::Kind::kCv;
         entry.cv = std::move(cv);
@@ -108,9 +114,8 @@ void RedoApplyEngine::DispatchLoop() {
       dispatched_scn_.store(rec.scn, std::memory_order_release);
       dispatched_records_.fetch_add(1, std::memory_order_relaxed);
 
-      // A heartbeat record proves every stream has delivered up to rec.scn, so
-      // broadcast a barrier immediately; otherwise barrier periodically.
-      if (heartbeat_only || ++since_barrier >= options_.barrier_interval) {
+      // A merger that keeps emitting still publishes in barrier-sized steps.
+      if (++since_barrier >= options_.barrier_interval) {
         BroadcastBarrier(last_scn);
         since_barrier = 0;
       }

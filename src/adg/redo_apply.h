@@ -17,11 +17,12 @@ namespace stratus {
 /// Options for the parallel redo apply pipeline.
 struct RedoApplyOptions {
   int num_workers = 4;
-  /// Broadcast a watermark barrier to all workers at least every this many
-  /// dispatched records (the QuerySCN "leapfrogs" in barrier-sized steps).
+  /// Broadcast a watermark barrier to all workers whenever the merger has
+  /// nothing more to emit, and at least every this many dispatched records
+  /// while it keeps emitting (the QuerySCN "leapfrogs" in barrier-sized
+  /// steps under load).
   int barrier_interval = 64;
   size_t worker_queue_capacity = 8192;
-  int64_t coordinator_poll_us = 500;
   /// MIRA: when several apply engines share one *global* recovery
   /// coordinator (built over the union of their workers), the per-engine
   /// coordinator is not created.

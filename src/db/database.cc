@@ -569,7 +569,7 @@ void StandbyDb::BuildPipeline() {
         all_workers.push_back(w.get());
     }
     mira_coordinator_ = std::make_unique<RecoveryCoordinator>(
-        std::move(all_workers), driver, options_.apply.coordinator_poll_us);
+        std::move(all_workers), driver);
     mira_coordinator_->set_chaos(options_.chaos);
     mira_coordinator_->set_publish_listener([this](Scn scn) {
       last_query_scn_.store(scn, std::memory_order_release);

@@ -1,57 +1,46 @@
 #include "redo/log_merger.h"
 
-#include <algorithm>
-
 namespace stratus {
 
 bool LogMerger::Next(RedoRecord* out, int64_t timeout_us) {
-  // Pick the stream whose head record has the smallest SCN; it is emittable
-  // iff every *other* stream either has a head (its head SCN is larger) or
-  // has a delivered watermark past the candidate (no smaller record can ever
-  // arrive on it) or is closed and drained.
+  // One locked read per stream, so each stream's head, watermark and
+  // drained-ness are mutually consistent. The candidate is the smallest head.
+  // It is emittable iff no open, empty stream has a watermark below it: a
+  // stream with a head has nothing smaller to come (per-stream SCN order),
+  // and a drained closed stream has nothing at all. `low` is the open, empty
+  // stream with the lowest watermark; if anything blocks, it does.
   int best = -1;
-  Scn best_scn = kMaxScn;
-  bool safe = true;
+  int low = -1;
   for (size_t i = 0; i < streams_.size(); ++i) {
-    const Scn head = streams_[i]->PeekScn();
-    if (head != kInvalidScn && head < best_scn) {
-      best_scn = head;
-      best = static_cast<int>(i);
+    peeks_[i] = streams_[i]->Peek();
+    const ReceivedLog::PeekState& p = peeks_[i];
+    const int idx = static_cast<int>(i);
+    if (p.head != kInvalidScn) {
+      if (best < 0 || p.head < peeks_[best].head) best = idx;
+    } else if (!p.finished) {
+      if (low < 0 || p.watermark < peeks_[low].watermark) low = idx;
     }
   }
-  if (best >= 0) {
-    for (size_t i = 0; i < streams_.size(); ++i) {
-      if (static_cast<int>(i) == best) continue;
-      if (streams_[i]->PeekScn() != kInvalidScn) continue;  // Head is > best_scn.
-      if (streams_[i]->closed() && streams_[i]->Empty()) continue;
-      if (streams_[i]->DeliveredWatermark() >= best_scn) continue;
-      safe = false;
-      break;
-    }
-    if (safe && streams_[best]->Pop(out)) {
-      ++emitted_;
-      return true;
-    }
+  // Only this merger pops, so the head it read is still the head.
+  if (best >= 0 && (low < 0 || peeks_[low].watermark >= peeks_[best].head) &&
+      streams_[best]->Pop(out)) {
+    ++emitted_;
+    return true;
   }
-  // Stalled: wait for any stream to make progress, then let the caller retry.
-  if (!streams_.empty()) {
-    const Scn wm = MergedWatermark();
-    streams_[0]->WaitForProgress(wm, timeout_us);
-  }
+  // Stalled (or every stream finished). Only `low` moving can unblock: any
+  // record another stream delivers lies above that stream's watermark, which
+  // is at least `low`'s, so `low` blocks it too. Waiting from the watermark
+  // read above makes a delivery in between wake the wait at once.
+  if (low >= 0 && timeout_us > 0)
+    streams_[low]->WaitForProgress(peeks_[low].watermark, timeout_us);
   return false;
 }
 
 bool LogMerger::Finished() const {
   for (ReceivedLog* s : streams_) {
-    if (!s->closed() || !s->Empty()) return false;
+    if (!s->Peek().finished) return false;
   }
   return true;
-}
-
-Scn LogMerger::MergedWatermark() const {
-  Scn wm = kMaxScn;
-  for (ReceivedLog* s : streams_) wm = std::min(wm, s->DeliveredWatermark());
-  return wm == kMaxScn ? kInvalidScn : wm;
 }
 
 }  // namespace stratus

@@ -17,27 +17,25 @@ namespace stratus {
 class LogMerger {
  public:
   explicit LogMerger(std::vector<ReceivedLog*> streams)
-      : streams_(std::move(streams)) {}
+      : streams_(std::move(streams)), peeks_(streams_.size()) {}
 
   LogMerger(const LogMerger&) = delete;
   LogMerger& operator=(const LogMerger&) = delete;
 
-  /// Produces the next record in global SCN order. Blocks up to `timeout_us`
-  /// waiting for progress. Returns false if nothing could be emitted (caller
-  /// checks `Finished()` to distinguish end-of-stream from a stall).
+  /// Produces the next record in global SCN order. On a stall, blocks up to
+  /// `timeout_us` on the stream that blocks it (0 = do not wait). Returns
+  /// false if nothing could be emitted (caller checks `Finished()` to
+  /// distinguish end-of-stream from a stall). Single consumer.
   bool Next(RedoRecord* out, int64_t timeout_us);
 
   /// True when every stream is closed and drained.
   bool Finished() const;
 
-  /// Smallest delivered watermark across streams: the SCN up to which the
-  /// merged order is complete.
-  Scn MergedWatermark() const;
-
   uint64_t emitted_records() const { return emitted_; }
 
  private:
   std::vector<ReceivedLog*> streams_;
+  std::vector<ReceivedLog::PeekState> peeks_;  ///< Next()'s per-stream reads.
   uint64_t emitted_ = 0;
 };
 

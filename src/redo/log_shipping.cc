@@ -51,9 +51,13 @@ void ReceivedLog::ResetToWatermark(Scn watermark) {
   cv_.notify_all();
 }
 
-Scn ReceivedLog::PeekScn() const {
+ReceivedLog::PeekState ReceivedLog::Peek() const {
   std::lock_guard<std::mutex> g(mu_);
-  return queue_.empty() ? kInvalidScn : queue_.front().scn;
+  PeekState h;
+  if (!queue_.empty()) h.head = queue_.front().scn;
+  h.watermark = watermark_.load(std::memory_order_relaxed);
+  h.finished = queue_.empty() && closed_.load(std::memory_order_relaxed);
+  return h;
 }
 
 bool ReceivedLog::Pop(RedoRecord* out) {
@@ -62,11 +66,6 @@ bool ReceivedLog::Pop(RedoRecord* out) {
   *out = std::move(queue_.front());
   queue_.pop_front();
   return true;
-}
-
-bool ReceivedLog::Empty() const {
-  std::lock_guard<std::mutex> g(mu_);
-  return queue_.empty();
 }
 
 void ReceivedLog::WaitForProgress(Scn min_watermark, int64_t timeout_us) const {

@@ -42,8 +42,14 @@ class ReceivedLog {
   /// already replayed from the archive. Also clears the closed flag.
   void ResetToWatermark(Scn watermark);
 
-  /// SCN of the next record, or kInvalidScn if the queue is empty.
-  Scn PeekScn() const;
+  /// One locked read of the stream's merge state: head, watermark and
+  /// drained-ness all from the same instant.
+  struct PeekState {
+    Scn head = kInvalidScn;       ///< SCN of the next record; kInvalidScn if empty.
+    Scn watermark = kInvalidScn;  ///< DeliveredWatermark() at that instant.
+    bool finished = false;        ///< Closed and drained.
+  };
+  PeekState Peek() const;
   /// Pops the head record; returns false if empty.
   bool Pop(RedoRecord* out);
 
@@ -53,10 +59,11 @@ class ReceivedLog {
     return watermark_.load(std::memory_order_acquire);
   }
   bool closed() const { return closed_.load(std::memory_order_acquire); }
-  bool Empty() const;
 
   /// Blocks until the queue is non-empty, the watermark exceeds
-  /// `min_watermark`, or the stream closes; bounded by `timeout_us`.
+  /// `min_watermark`, or the stream closes; bounded by `timeout_us`. Passing
+  /// the watermark a Peek() saw makes a delivery that lands in between wake
+  /// the wait at once.
   void WaitForProgress(Scn min_watermark, int64_t timeout_us) const;
 
   uint64_t delivered_records() const {

@@ -16,10 +16,14 @@ namespace {
 /// Shared harness for the end-to-end consistency properties: an AdgCluster
 /// with a populated standby IMCS and two writer threads hammering updates /
 /// inserts / deletes on the primary, so every check below runs while the
-/// invalidation, flush, repopulation, and QuerySCN machinery is hot.
+/// invalidation, flush, repopulation, and QuerySCN machinery is hot. With
+/// `redo_threads` > 1 the writers commit on alternating primary redo threads,
+/// so the standby's log merger assembles every QuerySCN from several streams.
 class ChurnHarness {
  public:
-  explicit ChurnHarness(uint64_t seed) : seed_(seed), cluster_(MakeOptions()) {
+  explicit ChurnHarness(uint64_t seed, int redo_threads = 1)
+      : seed_(seed), redo_threads_(redo_threads),
+        cluster_(MakeOptions(redo_threads)) {
     cluster_.Start();
     table_ = cluster_
                  .CreateTable("t", kDefaultTenant, Schema::WideTable(2, 1),
@@ -47,8 +51,10 @@ class ChurnHarness {
   ObjectId table() const { return table_; }
 
   void StartChurn() {
-    writers_.emplace_back([this] { WriterLoop(seed_ * 3 + 1); });
-    writers_.emplace_back([this] { WriterLoop(seed_ * 5 + 2); });
+    // Writer i commits on redo thread i % redo_threads_.
+    const auto second = static_cast<RedoThreadId>(1 % redo_threads_);
+    writers_.emplace_back([this] { WriterLoop(seed_ * 3 + 1, 0); });
+    writers_.emplace_back([this, second] { WriterLoop(seed_ * 5 + 2, second); });
   }
 
   void StopChurn() {
@@ -64,8 +70,9 @@ class ChurnHarness {
                Value(std::string("s") + std::to_string(rng->Uniform(6)))};
   }
 
-  static DatabaseOptions MakeOptions() {
+  static DatabaseOptions MakeOptions(int redo_threads) {
     DatabaseOptions options;
+    options.primary_redo_threads = redo_threads;
     options.apply.num_workers = 3;
     options.apply.barrier_interval = 8;
     options.population.blocks_per_imcu = 2;
@@ -77,10 +84,10 @@ class ChurnHarness {
     return options;
   }
 
-  void WriterLoop(uint64_t wseed) {
+  void WriterLoop(uint64_t wseed, RedoThreadId thread) {
     Random rng(wseed);
     while (!stop_.load(std::memory_order_acquire)) {
-      Transaction txn = cluster_.primary()->Begin();
+      Transaction txn = cluster_.primary()->Begin(thread);
       bool ok = true;
       const int ops = 1 + static_cast<int>(rng.Uniform(4));
       for (int i = 0; i < ops && ok; ++i) {
@@ -113,6 +120,7 @@ class ChurnHarness {
   }
 
   const uint64_t seed_;
+  const int redo_threads_;
   AdgCluster cluster_;
   ObjectId table_ = kInvalidObjectId;
   std::atomic<int64_t> next_id_{0};
@@ -239,6 +247,55 @@ TEST_P(ConsistencyTest, DopSweepByteIdenticalUnderChurn) {
   }
   harness.StopChurn();
   EXPECT_GE(checks, 6);
+}
+
+/// The pinned-SCN property on two primary redo threads: every QuerySCN the
+/// standby publishes is a cut the log merger assembled from both streams
+/// while writers commit on each. At that SCN the standby, at every DOP, must
+/// equal the primary's flashback read.
+TEST_P(ConsistencyTest, TwoRedoThreadsPinnedScnEqualsPrimary) {
+  const uint64_t seed = GetParam();
+  ChurnHarness harness(seed, /*redo_threads=*/2);
+  AdgCluster& cluster = *harness.cluster();
+  harness.StartChurn();
+
+  Random qrng(seed * 19 + 11);
+  int checks = 0;
+  Scn last_checked = kInvalidScn;
+  const uint64_t deadline = NowMicros() + 15'000'000;
+  while (checks < 12 && NowMicros() < deadline) {
+    // Each check pins a fresh QuerySCN, so the checks span the advance.
+    const Scn scn = cluster.standby()->query_scn();
+    if (scn == kInvalidScn || scn == last_checked) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      continue;
+    }
+    last_checked = scn;
+    ScanQuery q = RandomQuery(harness.table(), &qrng);
+    if (qrng.Percent(50)) {
+      q.aggregates = {{AggKind::kSum, 2}};
+    }
+
+    q.dop = 1;
+    const auto primary = cluster.primary()->QueryAt(q, scn);
+    ASSERT_TRUE(primary.ok());
+    for (uint32_t dop : {1u, 2u, 8u}) {
+      q.dop = dop;
+      const auto result = cluster.standby()->QueryAt(q, scn);
+      ASSERT_TRUE(result.ok());
+      const std::string ctx = std::string(" seed=") + std::to_string(seed) +
+                              " scn=" + std::to_string(scn) +
+                              " dop=" + std::to_string(dop);
+      EXPECT_EQ(result->rows, primary->rows) << ctx;
+      EXPECT_EQ(result->count, primary->count) << ctx;
+      EXPECT_EQ(result->agg_int, primary->agg_int) << ctx;
+      EXPECT_EQ(result->agg_valid, primary->agg_valid) << ctx;
+    }
+    ++checks;
+  }
+  harness.StopChurn();
+  EXPECT_GE(checks, 6);
+  EXPECT_GT(cluster.standby()->flush()->stats().flushed_txns, 0u);
 }
 
 /// The determinism property, extended to the hash-aggregate operator: a

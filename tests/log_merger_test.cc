@@ -1,6 +1,13 @@
 #include "redo/log_merger.h"
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+
 #include <gtest/gtest.h>
+
+#include "common/clock.h"
+#include "common/random.h"
 
 namespace stratus {
 namespace {
@@ -83,12 +90,74 @@ TEST(LogMergerTest, FinishedOnlyWhenAllClosedAndDrained) {
   EXPECT_TRUE(merger.Finished());
 }
 
-TEST(LogMergerTest, MergedWatermarkIsMinimum) {
+TEST(LogMergerTest, StallSleepsOnTheBlockingStream) {
   ReceivedLog a, b;
-  a.Deliver({Rec(10)});
-  b.Deliver({Rec(4)});
+  a.Deliver({Rec(7)});
+  b.Deliver({Rec(3)});
   LogMerger merger({&a, &b});
-  EXPECT_EQ(merger.MergedWatermark(), 4u);
+  RedoRecord out;
+  ASSERT_TRUE(merger.Next(&out, 1000));
+  ASSERT_EQ(out.scn, 3u);
+  // a holds 7 and b (watermark 3) blocks it. The stall must sleep until b
+  // moves, not return at once because a's queue is non-empty.
+  const uint64_t start = NowMicros();
+  std::thread producer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    b.Deliver({Rec(9)});
+  });
+  const bool emitted = merger.Next(&out, 2'000'000);
+  const uint64_t waited = NowMicros() - start;
+  producer.join();
+  EXPECT_FALSE(emitted);
+  EXPECT_GE(waited, 30'000u);    // It slept...
+  EXPECT_LT(waited, 1'500'000u);  // ...and woke on b's delivery.
+  ASSERT_TRUE(merger.Next(&out, 1000));
+  EXPECT_EQ(out.scn, 7u);
+}
+
+TEST(LogMergerTest, ConcurrentProducersMergeExactlyOnceInOrder) {
+  // Two primary instances draw SCNs from one allocator, one at a time, and
+  // ship them in random batches of 1..32 while the merger drains: every SCN
+  // must come out exactly once, in strictly increasing order.
+  constexpr Scn kTotal = 100'000;
+  std::atomic<Scn> next_scn{1};
+  ReceivedLog streams[2];
+  const auto produce = [&](ReceivedLog* dest, uint64_t seed) {
+    Random rng(seed);
+    bool done = false;
+    while (!done) {
+      std::vector<RedoRecord> batch;
+      const uint64_t n = 1 + rng.Uniform(32);
+      while (batch.size() < n) {
+        const Scn scn = next_scn.fetch_add(1);
+        if (scn > kTotal) {
+          done = true;
+          break;
+        }
+        batch.push_back(Rec(scn));
+      }
+      dest->Deliver(std::move(batch));
+    }
+    dest->Close();
+  };
+  std::thread p0(produce, &streams[0], 1);
+  std::thread p1(produce, &streams[1], 2);
+  LogMerger merger({&streams[0], &streams[1]});
+  RedoRecord out;
+  Scn last = 0;
+  Scn emitted = 0;
+  bool ordered = true;
+  while (!merger.Finished()) {
+    if (!merger.Next(&out, 1000)) continue;
+    ordered = ordered && out.scn > last;
+    last = out.scn;
+    ++emitted;
+  }
+  p0.join();
+  p1.join();
+  EXPECT_TRUE(ordered);
+  EXPECT_EQ(emitted, kTotal);
+  EXPECT_EQ(last, kTotal);
 }
 
 TEST(LogMergerTest, SingleStreamPassesThrough) {

@@ -20,7 +20,7 @@ TEST(ReceivedLogTest, DeliverPopFifo) {
   a.scn = 1;
   b.scn = 2;
   log.Deliver({a, b});
-  EXPECT_EQ(log.PeekScn(), 1u);
+  EXPECT_EQ(log.Peek().head, 1u);
   RedoRecord out;
   ASSERT_TRUE(log.Pop(&out));
   EXPECT_EQ(out.scn, 1u);
@@ -35,7 +35,7 @@ TEST(ReceivedLogTest, CloseMarksStream) {
   EXPECT_FALSE(log.closed());
   log.Close();
   EXPECT_TRUE(log.closed());
-  EXPECT_TRUE(log.Empty());
+  EXPECT_TRUE(log.Peek().finished);
 }
 
 TEST(LogShipperTest, ShipsAppendedRecords) {

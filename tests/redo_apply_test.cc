@@ -132,6 +132,25 @@ TEST(RedoApplyTest, QueryScnAdvancesToHeartbeat) {
   stream.Close();
 }
 
+TEST(RedoApplyTest, QuietStreamCommitPublishesWithoutItsNextRecord) {
+  // A commit at SCN 5 on one stream, passed by the other stream's heartbeat
+  // at 6, then nothing: 6 cannot be merged until the first stream moves
+  // again, so 5 must be published when the dispatcher runs dry.
+  ReceivedLog s1, s2;
+  RecordingSink sink;
+  RedoApplyOptions options;
+  options.num_workers = 2;
+  RedoApplyEngine engine(
+      std::make_unique<LogMerger>(std::vector<ReceivedLog*>{&s1, &s2}), &sink,
+      nullptr, nullptr, nullptr, options);
+  engine.Start();
+  s1.Deliver({Rec(5, {3})});
+  s2.Deliver({Heartbeat(6)});
+  const Scn reached = engine.coordinator()->WaitForQueryScn(5, 2'000'000);
+  EXPECT_EQ(reached, 5u);
+  engine.Stop();
+}
+
 TEST(RedoApplyTest, MiningHookSeesEveryCv) {
   ReceivedLog stream;
   RecordingSink sink;
