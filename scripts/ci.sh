@@ -32,10 +32,12 @@
 #           query-profile test binaries in the same build.
 #   fleet : standby-read-fleet suite under TSan — redo fan-out (N shippers on
 #           one RedoLog: shared wakeups, independent Stop, cursor-min
-#           retention, rejoin catch-up), the lag-aware router's contract
-#           modes and drain/rejoin, the fleet chaos cycle, and the 3-standby
-#           consistency properties. The fan-out and routing layers are pure
-#           concurrency — TSan is the build that would catch their races.
+#           retention, rejoin catch-up), the single shipper on its cursor
+#           (log_shipping_test: ship, heartbeat, drain on Stop, trim), the
+#           lag-aware router's contract modes and drain/rejoin, the fleet
+#           chaos cycle, and the 3-standby consistency properties. The
+#           fan-out and routing layers are pure concurrency — TSan is the
+#           build that would catch their races.
 #   persist : durability subsystem under BOTH ASan+UBSan and TSan — the redo
 #           archive codec and torn-tail truncation, checkpoint/snapshot
 #           encode/decode, fault-injected short/torn/sync-error writes,
@@ -78,7 +80,7 @@ CHAOS_TESTS="chaos_test chaos_matrix_test restart_test"
 OBS_TESTS="obs_server_test query_profile_test lag_monitor_test"
 # fleet_chaos_test is plain-suite only: its churn + kill/rejoin workload is
 # wall-clock bound and balloons under TSan's serialization.
-FLEET_TESTS="fleet_fanout_test fleet_router_test consistency_test"
+FLEET_TESTS="fleet_fanout_test log_shipping_test fleet_router_test consistency_test"
 PERSIST_TESTS="redo_archive_test checkpoint_test persist_recovery_test persist_chaos_test"
 SIMD_TESTS="scan_kernels_test column_vector_test imcu_test scan_engine_test executor_test expression_test consistency_test"
 

@@ -1475,12 +1475,8 @@ void StandbyDb::StandbyApplier::OnPublished(Scn query_scn) {
 // ---------------------------------------------------------------------------
 
 AdgCluster::AdgCluster(const DatabaseOptions& options)
-    : options_(options),
-      primary_(options),
-      standby_(options, static_cast<size_t>(options.primary_redo_threads)) {
-  registry_ = options_.registry != nullptr ? options_.registry
-                                           : &obs::MetricsRegistry::Global();
-}
+    : primary_(options),
+      standby_(options, static_cast<size_t>(options.primary_redo_threads)) {}
 
 AdgCluster::~AdgCluster() { Stop(); }
 
@@ -1489,126 +1485,25 @@ void AdgCluster::Start() {
   started_ = true;
   primary_.Start();
   standby_.Start();
-  StartShippers();
-
-  // The lag monitor reads only progress marks that outlive pipeline restarts
-  // (atomics on the primary txn manager, the received streams, and the
-  // standby's monotonic mirrors), so it can poll straight through
-  // StandbyDb::Restart().
-  obs::LagSources sources;
-  sources.primary_scn = [this] { return primary_.current_scn(); };
-  sources.shipped_scn = [this] {
-    Scn scn = kMaxScn;
-    for (int i = 0; i < primary_.redo_threads(); ++i)
-      scn = std::min(scn, standby_.stream(static_cast<size_t>(i))->DeliveredWatermark());
-    return scn == kMaxScn ? kInvalidScn : scn;
-  };
-  sources.applied_scn = [this] { return standby_.applied_scn(); };
-  sources.query_scn = [this] { return standby_.published_query_scn(); };
-  lag_monitor_ = std::make_unique<obs::LagMonitor>(
-      std::move(sources), registry_, obs::Labels{{"db", "standby"}},
-      options_.lag_poll_interval_us);
-  lag_monitor_->Start();
-  // Standby query profiles stamp their freshness from the cluster's monitor.
-  standby_.SetLagProbe([this] { return lag_monitor_->Snapshot(); });
+  link_.Start();
+  shipper_metrics_cb_.Attach(registry(), [this](obs::MetricsSink* sink) {
+    StandbyLink::ExportTransportMetrics({&link_}, sink);
+  });
 }
 
 void AdgCluster::Stop() {
   if (!started_) return;
   started_ = false;
-  // Clear the probe before the monitor dies: SetLagProbe synchronizes with
-  // in-flight annotate calls, so no query can touch lag_monitor_ afterwards.
-  standby_.SetLagProbe(nullptr);
-  if (lag_monitor_ != nullptr) {
-    lag_monitor_->Stop();
-    lag_monitor_.reset();
-  }
-  StopShippers();
+  // The metrics callback detaches first so no scrape touches a dying channel.
+  shipper_metrics_cb_.Reset();
+  link_.Stop();
   standby_.Stop();
   primary_.Stop();
 }
 
-void AdgCluster::StartShippers() {
-  ShipperOptions shipping = options_.shipping;
-  if (shipping.channel.registry == nullptr) {
-    shipping.channel.registry = registry_;  // Wire latency histograms.
-  }
-  std::vector<std::unique_ptr<LogShipper>> shippers;
-  for (int i = 0; i < primary_.redo_threads(); ++i) {
-    shippers.push_back(std::make_unique<LogShipper>(
-        primary_.redo_log(i), standby_.stream(i), shipping));
-    shippers.back()->Start();
-  }
-  {
-    std::lock_guard<std::mutex> g(shippers_mu_);
-    shippers_ = std::move(shippers);
-  }
-  shipper_metrics_cb_.Attach(registry_, [this](obs::MetricsSink* sink) {
-    const obs::Labels labels{{"role", "transport"}};
-    uint64_t bytes = 0, records = 0;
-    std::lock_guard<std::mutex> g(shippers_mu_);
-    for (const auto& s : shippers_) {
-      bytes += s->bytes_shipped();
-      records += s->records_shipped();
-      s->channel()->ExportMetrics(sink, labels);
-    }
-    sink->Counter("stratus_redo_shipped_bytes", labels, bytes);
-    sink->Counter("stratus_redo_shipped_records", labels, records);
-  });
-}
+std::string AdgCluster::MetricsText() const { return registry()->ExportText(); }
 
-void AdgCluster::StopShippers() {
-  // The metrics callback detaches first so no scrape touches a dying channel.
-  shipper_metrics_cb_.Reset();
-  std::vector<std::unique_ptr<LogShipper>> shippers;
-  {
-    std::lock_guard<std::mutex> g(shippers_mu_);
-    shippers.swap(shippers_);
-  }
-  for (auto& s : shippers) s->Stop();
-}
-
-void AdgCluster::SetShippingPaused(bool paused) {
-  std::lock_guard<std::mutex> g(shippers_mu_);
-  for (auto& s : shippers_) s->set_paused(paused);
-}
-
-void AdgCluster::VisitShippers(
-    const std::function<void(const LogShipper&)>& visit) const {
-  std::lock_guard<std::mutex> g(shippers_mu_);
-  for (const auto& s : shippers_) visit(*s);
-}
-
-Status AdgCluster::RestartStandby(RestartMode mode) {
-  if (!started_)
-    return Status::FailedPrecondition("cluster not started");
-  // An in-memory restart keeps shipping live: the received streams (queues
-  // and watermarks) survive it, and the rebuilt pipeline resumes from them.
-  if (!mode.from_disk) return standby_.Restart(mode);
-
-  // Hold cursors pin the redo logs' retention across the shipper gap: the
-  // old shippers' ephemeral cursors die with them, and without a survivor a
-  // concurrent Append could trim redo the new shippers still need.
-  std::vector<uint64_t> hold;
-  hold.reserve(static_cast<size_t>(primary_.redo_threads()));
-  for (int i = 0; i < primary_.redo_threads(); ++i)
-    hold.push_back(primary_.redo_log(i)->RegisterCursor(0));
-
-  // Quiesce delivery (the from-disk precondition) for the controller swap.
-  StopShippers();
-  const Status st = standby_.Restart(mode);
-  // Fresh shippers re-ship from seq 0 even if recovery failed (the standby
-  // must keep receiving); the stream watermarks — rewound to the durable SCN
-  // — drop everything recovery already replayed from the archive.
-  StartShippers();
-  for (int i = 0; i < primary_.redo_threads(); ++i)
-    primary_.redo_log(i)->UnregisterCursor(hold[static_cast<size_t>(i)]);
-  return st;
-}
-
-std::string AdgCluster::MetricsText() const { return registry_->ExportText(); }
-
-std::string AdgCluster::MetricsJson() const { return registry_->ExportJson(); }
+std::string AdgCluster::MetricsJson() const { return registry()->ExportJson(); }
 
 StatusOr<ObjectId> AdgCluster::CreateTable(const std::string& name, TenantId tenant,
                                            Schema schema, ImService service,
@@ -1633,13 +1528,6 @@ Scn AdgCluster::WaitForCatchup(int64_t timeout_us) {
   const Scn target = primary_.current_scn();
   if (target == kInvalidScn) return standby_.query_scn();
   return standby_.WaitForQueryScn(target, timeout_us);
-}
-
-uint64_t AdgCluster::shipped_bytes() const {
-  uint64_t total = 0;
-  std::lock_guard<std::mutex> g(shippers_mu_);
-  for (const auto& s : shippers_) total += s->bytes_shipped();
-  return total;
 }
 
 }  // namespace stratus

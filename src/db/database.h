@@ -15,6 +15,7 @@
 #include "common/types.h"
 #include "db/catalog.h"
 #include "db/query.h"
+#include "db/standby_link.h"
 #include "imadg/flush.h"
 #include "imadg/mining.h"
 #include "imcs/expression.h"
@@ -92,10 +93,12 @@ struct DatabaseOptions {
   obs::MetricsRegistry* registry = nullptr;
   /// Identity of this standby in a multi-standby fleet ("sb0", …). Non-empty
   /// adds a {"standby", name} label to every StandbyDb-exported series so N
-  /// standbys sharing one registry stay distinguishable. Empty (the default)
-  /// keeps the historical single-standby label set unchanged.
+  /// standbys sharing one registry stay distinguishable; its StandbyLink
+  /// also labels the lag series {"db", name} and the shipper channels
+  /// {"standby", name}. Empty (the default) keeps the single-standby label
+  /// set: no standby label, and {"db", "standby"} on the lag series.
   std::string standby_name;
-  /// Lag-monitor poll interval (AdgCluster).
+  /// Lag-monitor poll interval (StandbyLink).
   int64_t lag_poll_interval_us = 5'000;
 
   /// Completed-query ring capacity of each role's SlowQueryLog.
@@ -247,8 +250,6 @@ class PrimaryDb {
   // detach (destruct) before any of them go away.
   obs::MetricsRegistry* registry_ = nullptr;
   obs::ScopedMetricsCallback metrics_cb_;
-
-  friend class AdgCluster;
 };
 
 /// How StandbyDb::Restart brings a standby back (Section III.E; the mode
@@ -294,7 +295,7 @@ class StandbyDb : public ApplySink {
   /// returned with the pipeline left down.
   ///
   /// PRECONDITION for from_disk: delivery is quiescent — every shipper
-  /// feeding `stream(i)` is stopped (the cluster RestartStandby calls do it).
+  /// feeding `stream(i)` is stopped (StandbyLink::Restart does it).
   Status Restart(RestartMode mode = {});
 
   // --- Durability (persist/ subsystem) ---------------------------------------
@@ -423,7 +424,7 @@ class StandbyDb : public ApplySink {
   SlowQueryLog* slow_query_log() { return &slow_log_; }
   const SlowQueryLog* slow_query_log() const { return &slow_log_; }
   /// Installs (or clears, with nullptr) the freshness probe stamped into
-  /// every query profile — AdgCluster wires its LagMonitor in here. The
+  /// every query profile — StandbyLink wires its LagMonitor in here. The
   /// probe is invoked under an internal mutex, so clearing it guarantees no
   /// further calls once SetLagProbe returns.
   void SetLagProbe(std::function<obs::LagSnapshot()> probe);
@@ -639,51 +640,36 @@ class AdgCluster {
   /// primary as of the call. Returns the QuerySCN reached.
   Scn WaitForCatchup(int64_t timeout_us = 30'000'000);
 
-  uint64_t shipped_bytes() const;
+  uint64_t shipped_bytes() const { return link_.shipped_bytes(); }
 
   // --- Observability -----------------------------------------------------------
-  obs::MetricsRegistry* registry() const { return registry_; }
+  obs::MetricsRegistry* registry() const { return standby_.registry(); }
   std::string MetricsText() const;
   std::string MetricsJson() const;
-  /// The cluster's standing lag monitor (non-null between Start and Stop).
-  obs::LagMonitor* lag_monitor() { return lag_monitor_.get(); }
-  /// Redo-transport introspection for the v$transport view: calls `visit`
-  /// with each redo shipper in stream order, under the lock a from-disk
-  /// RestartStandby takes to replace them (safe from any thread; `visit`
-  /// must not call back into the cluster).
-  void VisitShippers(const std::function<void(const LogShipper&)>& visit) const;
+  /// The standby's lag monitor (non-null between Start and Stop).
+  obs::LagMonitor* lag_monitor() { return link_.lag_monitor(); }
+  /// Redo-transport introspection for the v$transport view
+  /// (StandbyLink::VisitShippers).
+  void VisitShippers(const std::function<void(const LogShipper&)>& visit) const {
+    link_.VisitShippers(visit);
+  }
   /// Stream `i`'s shipper (valid between Start and Stop). Not safe across a
-  /// from-disk RestartStandby, which destroys and replaces every shipper;
-  /// use VisitShippers where a restart may race.
-  const LogShipper* shipper(size_t i) const { return shippers_[i].get(); }
+  /// RestartStandby, which replaces every shipper; use VisitShippers where a
+  /// restart may race.
+  const LogShipper* shipper(size_t i) const { return link_.shipper(i); }
   /// Fault injection: pause/resume every redo shipper (transport lag
   /// accumulates while paused; Stop() still drains).
-  void SetShippingPaused(bool paused);
+  void SetShippingPaused(bool paused) { link_.SetShippingPaused(paused); }
 
-  /// Restarts the standby in `mode` (StandbyDb::Restart). An in-memory
-  /// restart keeps shipping live. A from-disk restart first quiesces
-  /// delivery: hold cursors pin the redo logs' retention, the shippers stop,
-  /// the standby recovers, and fresh shippers redeliver the tail, which the
-  /// rewound stream watermarks dedup against what recovery replayed.
-  Status RestartStandby(RestartMode mode = {});
+  /// Restarts the standby in `mode` through the link's one restart sequence
+  /// (StandbyLink::Restart).
+  Status RestartStandby(RestartMode mode = {}) { return link_.Restart(mode); }
 
  private:
-  void StartShippers();
-  void StopShippers();
-
-  DatabaseOptions options_;
   PrimaryDb primary_;
   StandbyDb standby_;
-  std::vector<std::unique_ptr<LogShipper>> shippers_;
-  /// Guards `shippers_`: a from-disk restart swaps it while scrapes read it.
-  /// Held only to move or read the vector, never across shipper
-  /// construction, Start, Stop or destruction (channels register with the
-  /// metrics registry, whose scrape takes this lock).
-  mutable std::mutex shippers_mu_;
+  StandbyLink link_{&primary_, &standby_};
   bool started_ = false;
-
-  obs::MetricsRegistry* registry_ = nullptr;
-  std::unique_ptr<obs::LagMonitor> lag_monitor_;
   obs::ScopedMetricsCallback shipper_metrics_cb_;
 };
 

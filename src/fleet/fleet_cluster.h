@@ -12,6 +12,7 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "db/database.h"
+#include "db/standby_link.h"
 #include "obs/lag_monitor.h"
 #include "obs/metrics.h"
 
@@ -54,11 +55,12 @@ class CapacityGate {
   int in_use_ = 0;         ///< Guarded by mu_.
 };
 
-/// One standby of the fleet: the database plus its routing-facing state —
-/// whether it is accepting queries, its live load, and its own lag monitor.
+/// One standby of the fleet: the database, its redo link from the primary,
+/// and its routing-facing state — whether it is accepting queries and its
+/// live load.
 class StandbyNode {
  public:
-  StandbyNode(int id, const DatabaseOptions& options, size_t num_streams,
+  StandbyNode(int id, PrimaryDb* primary, const DatabaseOptions& options,
               const NodeCapacity& capacity);
 
   StandbyNode(const StandbyNode&) = delete;
@@ -86,7 +88,7 @@ class StandbyNode {
 
   /// This node's standing lag monitor (non-null between fleet Start/Stop; it
   /// reads only restart-surviving atomics, so it runs through node restarts).
-  obs::LagMonitor* lag_monitor() { return lag_monitor_.get(); }
+  obs::LagMonitor* lag_monitor() { return link_.lag_monitor(); }
 
  private:
   friend class FleetCluster;
@@ -98,17 +100,11 @@ class StandbyNode {
   const int id_;
   const std::string name_;
   StandbyDb db_;
+  StandbyLink link_;
   CapacityGate gate_;
   std::atomic<bool> accepting_{false};
   std::atomic<uint64_t> in_flight_{0};
   std::atomic<uint64_t> served_{0};
-
-  /// Fleet-owned persistent redo cursors, one per primary redo thread. They
-  /// outlive the node's shippers: a killed node's cursor keeps the primary
-  /// from trimming the redo the node needs to catch up after rejoin.
-  std::vector<uint64_t> cursor_ids_;
-  std::vector<std::unique_ptr<LogShipper>> shippers_;
-  std::unique_ptr<obs::LagMonitor> lag_monitor_;
 };
 
 struct FleetOptions {
@@ -121,9 +117,9 @@ struct FleetOptions {
   NodeCapacity capacity;
 };
 
-/// One primary fanned out to N standbys: each primary redo thread's RedoLog
-/// feeds one LogShipper per standby over an independent channel, with
-/// fleet-owned cursors deciding redo retention. The ROADMAP "one primary,
+/// One primary fanned out to N standbys: each node's StandbyLink ships every
+/// primary redo thread's RedoLog over its own channels, and the nodes'
+/// cursors together decide redo retention. The ROADMAP "one primary,
 /// N standbys" topology, in-process.
 class FleetCluster {
  public:
@@ -160,12 +156,9 @@ class FleetCluster {
   /// shippers (the node's redo cursors stay registered, so the primary
   /// retains everything the node has not been shipped), stops the database.
   void StopStandby(int i);
-  /// Restarts node `i` in `mode` (StandbyDb::Restart), running or stopped:
-  /// stops accepting, stops its shippers (the node's fleet cursors stay
-  /// registered, pinning undelivered redo), reopens its receive streams,
-  /// restarts the database, and attaches fresh shippers resuming from the
-  /// cursors — redelivery dedups against the stream watermarks, so no redo
-  /// is lost or double-applied. Accepting again only if the restart succeeded.
+  /// Restarts node `i` in `mode`, running or stopped, through its link's one
+  /// restart sequence (StandbyLink::Restart), out of routing meanwhile.
+  /// Accepting again only if the restart succeeded.
   Status RestartStandby(int i, RestartMode mode = {});
 
   obs::MetricsRegistry* registry() const { return registry_; }
@@ -174,19 +167,12 @@ class FleetCluster {
   uint64_t shipped_bytes() const;
 
  private:
-  void StartShippers(StandbyNode* node);
-  void StopShippers(StandbyNode* node);
   DatabaseOptions NodeOptions(int i) const;
 
   FleetOptions options_;
   obs::MetricsRegistry* registry_ = nullptr;
   PrimaryDb primary_;
   std::vector<std::unique_ptr<StandbyNode>> nodes_;
-  /// Guards every node's `shippers_` vector: node restarts swap it while
-  /// metrics scrapes read it. Held only to move or read the vectors, never
-  /// across shipper construction, Start, Stop or destruction (channels
-  /// register with the metrics registry, whose scrape takes this lock).
-  mutable std::mutex shippers_mu_;
   bool started_ = false;
   obs::ScopedMetricsCallback shipper_metrics_cb_;
 };

@@ -15,8 +15,8 @@ enum class SyncMode : uint8_t {
                         ///< an unsynced tail can hold only uncommitted work,
                         ///< so a crash loses no acknowledged transaction —
                         ///< but the standby must be re-shipped the tail
-                        ///< (fleet cursors retain it; see LogShipper's
-                        ///< durable-floor gate).
+                        ///< (its StandbyLink's cursors retain it; see
+                        ///< LogShipper's durable-floor gate).
   kEveryBatch = 2,      ///< fsync every archived batch: durable == delivered,
                         ///< so recovery never depends on redelivery. Default.
 };

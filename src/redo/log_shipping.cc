@@ -110,30 +110,20 @@ net::ChannelOptions ResolveChannelOptions(const ShipperOptions& options,
   if (channel.name.empty()) {
     channel.name = "redo-" + std::to_string(thread);
   }
-  // Back-compat: the legacy simulated latency knob becomes a wire delay.
-  if (options.network_latency_us > 0 && channel.faults.delay_us == 0) {
-    channel.faults.delay_us = options.network_latency_us;
-  }
   return channel;
 }
 
 }  // namespace
 
-LogShipper::LogShipper(RedoLog* source, ReceivedLog* dest,
+LogShipper::LogShipper(RedoLog* source, ReceivedLog* dest, uint64_t cursor_id,
                        const ShipperOptions& options)
     : source_(source),
       dest_(dest),
       options_(options),
       receiver_(dest),
       channel_(net::CreateChannel(ResolveChannelOptions(options, source->thread()),
-                                  &receiver_)) {
-  if (options_.cursor_id != 0) {
-    cursor_id_ = options_.cursor_id;  // Caller-owned: survives this shipper.
-  } else {
-    cursor_id_ = source_->RegisterCursor(0);
-    owns_cursor_ = true;
-  }
-}
+                                  &receiver_)),
+      cursor_id_(cursor_id) {}
 
 LogShipper::~LogShipper() { Stop(); }
 
@@ -147,26 +137,32 @@ void LogShipper::Stop() {
   stop_.store(true, std::memory_order_release);
   source_->WakeWaiters();  // End any idle condvar wait immediately.
   if (thread_.joinable()) thread_.join();
-  if (owns_cursor_) {
-    // Ephemeral cursor: releasing it lets the log trim everything this
-    // shipper retained. A fleet-owned cursor stays put so a restarted
-    // standby can resume from exactly where its last shipper left off.
-    source_->UnregisterCursor(cursor_id_);
-    owns_cursor_ = false;
-  }
   // Drains the wire (retransmitting as needed), then closes the stream via
   // RedoStreamReceiver::OnChannelClose. Idempotent.
   channel_->Stop();
 }
 
 void LogShipper::Run() {
-  // Resume from the cursor: 0 for a fresh ephemeral cursor, or wherever the
-  // previous shipper on this (standby, thread) pair left a persistent one.
+  // Resume from the cursor: where it was registered, or wherever the
+  // previous shipper on this (standby, thread) pair left it.
   uint64_t next_seq = source_->CursorSeq(cursor_id_);
   uint64_t last_heartbeat_us = NowMicros();
+  auto advance = [this](uint64_t seq) {
+    source_->AdvanceCursor(cursor_id_, seq);
+    if (options_.cursor_note) options_.cursor_note(seq);
+  };
   // Durability-gated cursor advancement: sent batches park here until the
   // standby reports their SCN durable; only then may the cursor pass them.
   std::deque<std::pair<uint64_t, Scn>> unacked;  // (seq_end, batch scn)
+  auto advance_past_durable = [&] {
+    const Scn floor = options_.durable_floor();
+    uint64_t advance_to = 0;
+    while (!unacked.empty() && unacked.front().second <= floor) {
+      advance_to = unacked.front().first;
+      unacked.pop_front();
+    }
+    if (advance_to != 0) advance(advance_to);
+  };
   bool draining = false;
   // Once stop is requested we drain up to the tail observed AT THAT MOMENT,
   // not the live tail: under a hot appender the live tail recedes forever
@@ -238,36 +234,15 @@ void LogShipper::Run() {
     // costs a redelivery, never the redo itself.
     if (options_.durable_floor) {
       unacked.emplace_back(next_seq, batch_scn);
-      const Scn floor = options_.durable_floor();
-      uint64_t advance_to = 0;
-      while (!unacked.empty() && unacked.front().second <= floor) {
-        advance_to = unacked.front().first;
-        unacked.pop_front();
-      }
-      if (advance_to != 0) {
-        source_->AdvanceCursor(cursor_id_, advance_to);
-        if (options_.cursor_note) options_.cursor_note(advance_to);
-      }
+      advance_past_durable();
     } else {
-      source_->AdvanceCursor(cursor_id_, next_seq);
-      if (options_.cursor_note) options_.cursor_note(next_seq);
+      advance(next_seq);
     }
   }
   // Final gate check at drain: the standby may have archived everything
   // between our last send and now (the channel drain in Stop() happens after
   // this thread exits, so anything still unacked here stays retained).
-  if (options_.durable_floor && !unacked.empty()) {
-    const Scn floor = options_.durable_floor();
-    uint64_t advance_to = 0;
-    while (!unacked.empty() && unacked.front().second <= floor) {
-      advance_to = unacked.front().first;
-      unacked.pop_front();
-    }
-    if (advance_to != 0) {
-      source_->AdvanceCursor(cursor_id_, advance_to);
-      if (options_.cursor_note) options_.cursor_note(advance_to);
-    }
-  }
+  if (options_.durable_floor && !unacked.empty()) advance_past_durable();
 }
 
 }  // namespace stratus

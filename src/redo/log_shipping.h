@@ -86,9 +86,6 @@ struct ShipperOptions {
   /// append condition variable and wakes the moment a record lands; this
   /// interval only paces the paused state and caps condvar-miss latency.
   int64_t poll_interval_us = 200;
-  /// Simulated one-way network latency applied to every batch. Folded into
-  /// the channel's fault delay (kept for back-compat with older configs).
-  int64_t network_latency_us = 0;
   /// Max records pulled per batch.
   size_t max_batch = 512;
   /// Emit an SCN heartbeat when idle at least this often, so the standby's
@@ -97,23 +94,17 @@ struct ShipperOptions {
   /// The wire this stream rides. The default kLoopback keeps the historical
   /// deterministic in-process path; kSocket ships every batch over real TCP.
   net::ChannelOptions channel;
-  /// Fan-out: id of a persistent RedoLog cursor owned by the caller (the
-  /// fleet keeps one per standby so redo is retained across a standby's
-  /// kill/rejoin cycle). 0 = the shipper registers its own ephemeral cursor
-  /// and unregisters it on Stop — the historical single-standby behavior,
-  /// where stopping the shipper releases all retention.
-  uint64_t cursor_id = 0;
   /// Durability gate for cursor advancement. When set, the shipper advances
   /// its cursor only past batches whose SCN the standby reports durable
   /// (persist layer fsync watermark) — so if the standby dies after receiving
   /// but before archiving, the primary still retains that redo and the
   /// rejoining shipper redelivers it from the cursor. Unset = advance on
-  /// send, the historical behavior.
+  /// send.
   std::function<Scn()> durable_floor;
   /// Observer of cursor advancement: called with the new cursor sequence
-  /// after every AdvanceCursor. The fleet feeds this into the standby's
-  /// persist metadata (NoteCursorSeq) so a disk-restarted node re-registers
-  /// its cursor at disk truth. Called from the shipper thread.
+  /// after every AdvanceCursor. StandbyLink feeds this into the standby's
+  /// persist metadata (NoteCursorSeq) so a disk-restarted standby
+  /// re-registers its cursor at disk truth. Called from the shipper thread.
   std::function<void(uint64_t)> cursor_note;
 };
 
@@ -143,9 +134,14 @@ class RedoStreamReceiver : public net::FrameSink {
 /// poll fallback), encodes them with the wire codec, and Send()s them; the
 /// channel's receiver end decodes and delivers. Backpressure from the channel
 /// (full send window, partition) blocks the shipper thread.
+///
+/// The shipper reads from and advances `cursor_id`, a cursor the caller
+/// registered on `source` and keeps after the shipper is gone: a fresh
+/// shipper on the same cursor resumes exactly where this one stopped.
 class LogShipper {
  public:
-  LogShipper(RedoLog* source, ReceivedLog* dest, const ShipperOptions& options);
+  LogShipper(RedoLog* source, ReceivedLog* dest, uint64_t cursor_id,
+             const ShipperOptions& options);
   ~LogShipper();
 
   LogShipper(const LogShipper&) = delete;
@@ -184,9 +180,8 @@ class LogShipper {
   RedoStreamReceiver receiver_;
   std::unique_ptr<net::Channel> channel_;
 
+  const uint64_t cursor_id_;  ///< Caller-owned RedoLog cursor it advances.
   std::thread thread_;
-  uint64_t cursor_id_ = 0;      ///< RedoLog cursor this shipper advances.
-  bool owns_cursor_ = false;    ///< Ephemeral cursor: unregistered on Stop.
   std::atomic<bool> stop_{false};
   std::atomic<bool> paused_{false};
   std::atomic<uint64_t> records_shipped_{0};

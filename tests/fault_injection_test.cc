@@ -206,7 +206,7 @@ TEST(FaultInjectionTest, CapacityStarvedImcsStaysCorrect) {
 TEST(FaultInjectionTest, SlowNetworkStillConverges) {
   DatabaseOptions options;
   options.apply.num_workers = 2;
-  options.shipping.network_latency_us = 2000;  // 2ms per shipped batch.
+  options.shipping.channel.faults.delay_us = 2000;  // 2ms per shipped batch.
   options.shipping.max_batch = 32;
   options.population.blocks_per_imcu = 2;
   AdgCluster cluster(options);

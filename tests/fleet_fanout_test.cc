@@ -38,9 +38,13 @@ TEST(FleetFanoutTest, OneLogFeedsThreeStandbys) {
   ScnAllocator scns;
   RedoLog source(0, &scns);
   ReceivedLog dest[3];
+  std::vector<uint64_t> cursors;
   std::vector<std::unique_ptr<LogShipper>> shippers;
-  for (auto& d : dest)
-    shippers.push_back(std::make_unique<LogShipper>(&source, &d, QuietOptions()));
+  for (auto& d : dest) {
+    cursors.push_back(source.RegisterCursor(0));
+    shippers.push_back(std::make_unique<LogShipper>(&source, &d, cursors.back(),
+                                                    QuietOptions()));
+  }
   for (auto& s : shippers) s->Start();
 
   for (int i = 0; i < 200; ++i) source.Append({Cv(static_cast<Dba>(i))});
@@ -57,7 +61,8 @@ TEST(FleetFanoutTest, OneLogFeedsThreeStandbys) {
       last = out.scn;
     }
   }
-  // With every cursor released, everything shipped was trimmed.
+  // Every cursor passed everything, so everything shipped was trimmed.
+  for (uint64_t cursor : cursors) source.UnregisterCursor(cursor);
   std::vector<RedoRecord> leftover;
   source.ReadFrom(0, 1000, &leftover);
   EXPECT_TRUE(leftover.empty());
@@ -71,7 +76,7 @@ TEST(FleetFanoutTest, SlowestCursorHoldsRetention) {
   const uint64_t parked = source.RegisterCursor(0);
 
   ReceivedLog dest;
-  LogShipper shipper(&source, &dest, QuietOptions());
+  LogShipper shipper(&source, &dest, source.RegisterCursor(0), QuietOptions());
   shipper.Start();
   for (int i = 0; i < 150; ++i) source.Append({Cv(static_cast<Dba>(i))});
   shipper.Stop();
@@ -98,7 +103,8 @@ TEST(FleetFanoutTest, StopOneShipperOthersKeepShipping) {
   ReceivedLog dest[3];
   std::vector<std::unique_ptr<LogShipper>> shippers;
   for (auto& d : dest)
-    shippers.push_back(std::make_unique<LogShipper>(&source, &d, QuietOptions()));
+    shippers.push_back(std::make_unique<LogShipper>(
+        &source, &d, source.RegisterCursor(0), QuietOptions()));
   for (auto& s : shippers) s->Start();
 
   for (int i = 0; i < 50; ++i) source.Append({Cv(static_cast<Dba>(i))});
@@ -128,7 +134,8 @@ TEST(FleetFanoutTest, ConcurrentStopsUnderAppendLoad) {
   ReceivedLog dest[kShippers];
   std::vector<std::unique_ptr<LogShipper>> shippers;
   for (auto& d : dest)
-    shippers.push_back(std::make_unique<LogShipper>(&source, &d, QuietOptions()));
+    shippers.push_back(std::make_unique<LogShipper>(
+        &source, &d, source.RegisterCursor(0), QuietOptions()));
   for (auto& s : shippers) s->Start();
 
   std::atomic<bool> stop_appends{false};
@@ -157,10 +164,9 @@ TEST(FleetFanoutTest, RejoinResumesFromPersistentCursor) {
   const uint64_t cursor = source.RegisterCursor(0);
   ReceivedLog dest;
 
-  ShipperOptions options = QuietOptions();
-  options.cursor_id = cursor;
+  const ShipperOptions options = QuietOptions();
   {
-    LogShipper shipper(&source, &dest, options);
+    LogShipper shipper(&source, &dest, cursor, options);
     shipper.Start();
     for (int i = 0; i < 100; ++i) source.Append({Cv(static_cast<Dba>(i))});
     shipper.Stop();  // Drains: cursor now at 100.
@@ -179,7 +185,7 @@ TEST(FleetFanoutTest, RejoinResumesFromPersistentCursor) {
   dest.Reopen();
   EXPECT_FALSE(dest.closed());
   {
-    LogShipper shipper(&source, &dest, options);
+    LogShipper shipper(&source, &dest, cursor, options);
     shipper.Start();
     EXPECT_TRUE(WaitForRecords(dest, 180, 5'000'000));
     shipper.Stop();
@@ -213,7 +219,8 @@ TEST(FleetFanoutTest, HeartbeatsDedupAcrossShippers) {
   for (auto& d : dest) {
     ShipperOptions options;
     options.heartbeat_interval_us = kIntervalUs;
-    shippers.push_back(std::make_unique<LogShipper>(&source, &d, options));
+    shippers.push_back(std::make_unique<LogShipper>(
+        &source, &d, source.RegisterCursor(0), options));
   }
   for (auto& s : shippers) s->Start();
 
@@ -244,8 +251,8 @@ TEST(FleetFanoutTest, ChannelMetricsCarryStandbyIdentity) {
     options.channel.name = "redo0";  // Same stream name on both channels...
     options.channel.peer = "sb" + std::to_string(i);  // ...distinct standby.
     options.channel.registry = &registry;
-    shippers.push_back(
-        std::make_unique<LogShipper>(&source, &dest[i], options));
+    shippers.push_back(std::make_unique<LogShipper>(
+        &source, &dest[i], source.RegisterCursor(0), options));
   }
   for (auto& s : shippers) s->Start();
   for (int i = 0; i < 10; ++i) source.Append({Cv(static_cast<Dba>(i))});

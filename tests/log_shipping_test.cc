@@ -44,7 +44,7 @@ TEST(LogShipperTest, ShipsAppendedRecords) {
   ReceivedLog dest;
   ShipperOptions options;
   options.heartbeat_interval_us = 1'000'000;  // Quiet heartbeats for the test.
-  LogShipper shipper(&source, &dest, options);
+  LogShipper shipper(&source, &dest, source.RegisterCursor(0), options);
   shipper.Start();
   for (int i = 0; i < 100; ++i) source.Append({Cv(static_cast<Dba>(i))});
   // Wait for delivery.
@@ -70,7 +70,7 @@ TEST(LogShipperTest, HeartbeatsFlowWhenIdle) {
   ReceivedLog dest;
   ShipperOptions options;
   options.heartbeat_interval_us = 500;
-  LogShipper shipper(&source, &dest, options);
+  LogShipper shipper(&source, &dest, source.RegisterCursor(0), options);
   shipper.Start();
   const uint64_t deadline = NowMicros() + 2'000'000;
   while (dest.DeliveredWatermark() == kInvalidScn && NowMicros() < deadline)
@@ -83,7 +83,8 @@ TEST(LogShipperTest, StopDrainsPendingRecords) {
   ScnAllocator scns;
   RedoLog source(0, &scns);
   ReceivedLog dest;
-  LogShipper shipper(&source, &dest, ShipperOptions{});
+  LogShipper shipper(&source, &dest, source.RegisterCursor(0),
+                     ShipperOptions{});
   shipper.Start();
   for (int i = 0; i < 500; ++i) source.Append({Cv(static_cast<Dba>(i))});
   shipper.Stop();
@@ -94,7 +95,8 @@ TEST(LogShipperTest, TrimsSourceAfterShipping) {
   ScnAllocator scns;
   RedoLog source(0, &scns);
   ReceivedLog dest;
-  LogShipper shipper(&source, &dest, ShipperOptions{});
+  LogShipper shipper(&source, &dest, source.RegisterCursor(0),
+                     ShipperOptions{});
   shipper.Start();
   for (int i = 0; i < 200; ++i) source.Append({Cv(static_cast<Dba>(i))});
   shipper.Stop();

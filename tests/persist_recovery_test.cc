@@ -25,9 +25,8 @@ DatabaseOptions PersistClusterOptions(const std::string& dir) {
   options.apply_accounting = true;
   options.persist.enabled = true;
   options.persist.data_dir = dir;
-  // kEveryBatch (the default): durable == delivered, so even the in-memory
-  // AdgCluster shippers (whose ephemeral cursors advance on send) never
-  // leave redo that only the archive remembers.
+  // kEveryBatch (the default): durable == delivered, so the link's
+  // durable-floor gate lets its cursors follow the shippers closely.
   return options;
 }
 
@@ -67,6 +66,8 @@ TEST(PersistRecoveryTest, DiskRestartRecoversRowsFromCheckpointAndArchive) {
   EXPECT_NE(cluster.standby()->DurableScn(0), kInvalidScn);
 
   ASSERT_TRUE(cluster.standby()->TakeCheckpoint().ok());
+  // The link's shippers have been noting their cursor positions to META.
+  EXPECT_GT(cluster.standby()->persist()->CursorSeq(0), 0u);
   // Post-checkpoint churn lives only in the archive: recovery must replay it.
   Load(&cluster, table, &next_id, 3 * kRowsPerBlock / 2);
   cluster.WaitForCatchup();

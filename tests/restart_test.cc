@@ -214,10 +214,13 @@ bool WaitForCheckpoints(StandbyDb* standby, uint64_t n, int64_t timeout_us) {
   return true;
 }
 
-// A from-disk restart replaces the cluster's shippers while v$transport and
+class RestartModeTest : public ::testing::TestWithParam<RestartMode> {};
+
+// Every restart mode replaces the link's shippers while v$transport and
 // shipped_bytes() scrapes read them from another thread; the shipper lock
 // keeps every read on a whole vector (TSan in the chaos stage).
-TEST(RestartTest, TransportScrapeDuringDiskRestartIsRaceFree) {
+TEST_P(RestartModeTest, TransportScrapeDuringRestartIsRaceFree) {
+  const RestartMode mode = GetParam();
   DatabaseOptions options = RestartOptions(true);
   options.persist.enabled = true;
   options.persist.data_dir = MakeTempDir();
@@ -240,7 +243,7 @@ TEST(RestartTest, TransportScrapeDuringDiskRestartIsRaceFree) {
   });
   for (int i = 0; i < 4; ++i) {
     Load(&cluster, table, &next_id, 64);
-    const Status st = cluster.RestartStandby({.from_disk = true});
+    const Status st = cluster.RestartStandby(mode);
     EXPECT_TRUE(st.ok()) << st.ToString();
   }
   stop.store(true, std::memory_order_release);
@@ -254,8 +257,6 @@ TEST(RestartTest, TransportScrapeDuringDiskRestartIsRaceFree) {
             static_cast<size_t>(options.primary_redo_threads));
   cluster.Stop();
 }
-
-class RestartModeTest : public ::testing::TestWithParam<RestartMode> {};
 
 // Every mode through the one cluster entry point, with the background
 // checkpoint thread running and a writer committing throughout: the counters
