@@ -6,13 +6,17 @@
 #           (metrics_test, latch_test, thread_pool_test, log_merger_test,
 #           redo_apply_test, scan_engine_test, query_test, executor_test,
 #           consistency_test, net_test, lag_monitor_test, query_profile_test,
-#           obs_server_test) — the metrics registry, latches, the scan thread
-#           pool and the parallel scan's DOP>1 worker/merge paths (partial
-#           folds and the join chain's shared plans included), the log
-#           merger draining streams that producer threads deliver into, the
-#           redo-apply engine, the lag monitor's sampler, the HTTP server's
-#           workers and the socket channel's sender/receiver threads are the
-#           hot lock-free/locked paths a data race would hide in.
+#           obs_server_test, failover_test, database_test, ddl_test) — the
+#           metrics registry, latches, the scan thread pool and the parallel
+#           scan's DOP>1 worker/merge paths (partial folds and the join
+#           chain's shared plans included), the log merger draining streams
+#           that producer threads deliver into, the redo-apply engine, the
+#           lag monitor's sampler, the HTTP server's workers and the socket
+#           channel's sender/receiver threads are the hot lock-free/locked
+#           paths a data race would hide in. failover_test, database_test and
+#           ddl_test drive the one write side both roles share (the primary's
+#           commits and a promoted standby's), promotion, and the QuerySCN
+#           publish that queries and monitors read while apply runs.
 #   asan  : Address+UndefinedBehaviorSanitizer build of the wire/transport
 #           targets (net_test, log_shipping_test, transport_test) — the
 #           codec's byte-level parsing and the channels' buffer handling are
@@ -74,7 +78,7 @@ STAGE="${1:-all}"
 PREFIX="${2:-build-ci}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
-TSAN_TESTS="metrics_test latch_test thread_pool_test log_merger_test redo_apply_test scan_engine_test query_test executor_test consistency_test net_test lag_monitor_test query_profile_test obs_server_test"
+TSAN_TESTS="metrics_test latch_test thread_pool_test log_merger_test redo_apply_test scan_engine_test query_test executor_test consistency_test net_test lag_monitor_test query_profile_test obs_server_test failover_test database_test ddl_test"
 ASAN_TESTS="net_test log_shipping_test transport_test"
 CHAOS_TESTS="chaos_test chaos_matrix_test restart_test"
 OBS_TESTS="obs_server_test query_profile_test lag_monitor_test"

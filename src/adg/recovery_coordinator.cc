@@ -94,6 +94,7 @@ bool RecoveryCoordinator::TryAdvanceOnce() {
       }
     }
     STRATUS_CRASH_POINT(chaos_, chaos::CrashPoint::kQuiescePublish);
+    if (publish_listener_) publish_listener_(target);
     query_scn_.store(target, std::memory_order_release);
   } catch (const chaos::CrashSignal&) {
     quiesce_.EndQuiesce();
@@ -104,7 +105,6 @@ bool RecoveryCoordinator::TryAdvanceOnce() {
   quiesce_nanos_.fetch_add(NowNanos() - t0, std::memory_order_relaxed);
   advancements_.fetch_add(1, std::memory_order_relaxed);
   if (driver_ != nullptr) driver_->OnPublished(target);
-  if (publish_listener_) publish_listener_(target);
   {
     std::lock_guard<std::mutex> g(publish_mu_);
     published_.notify_all();

@@ -100,8 +100,10 @@ class RecoveryCoordinator {
   /// accounting (Section IV.C).
   uint64_t quiesce_nanos() const { return quiesce_nanos_.load(std::memory_order_relaxed); }
 
-  /// Observer invoked (from the coordinator thread) after every publish,
-  /// outside the Quiesce Period. Must be set before Start().
+  /// Observer invoked (from the coordinator thread) with every new QuerySCN,
+  /// inside the Quiesce Period and before query_scn() changes — so a copy it
+  /// keeps is never below query_scn(), and a WaitForQueryScn waiter that
+  /// wakes sees it. Must be cheap and must not block; set before Start().
   void set_publish_listener(std::function<void(Scn)> fn) {
     publish_listener_ = std::move(fn);
   }

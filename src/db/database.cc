@@ -1,16 +1,149 @@
 #include "db/database.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 namespace stratus {
 
 namespace {
 
-/// Shared scan-totals export (primary and standby run the same engine).
-void ExportScanTotals(obs::MetricsSink* sink, const obs::Labels& labels,
-                      const ScanTotals& t) {
+void ExportImStore(obs::MetricsSink* sink, const obs::Labels& labels,
+                   const ImStoreStats& s) {
+  sink->Gauge("stratus_imcs_smus_total", labels, static_cast<double>(s.smus_total));
+  sink->Gauge("stratus_imcs_smus_ready", labels, static_cast<double>(s.smus_ready));
+  sink->Gauge("stratus_imcs_used_bytes", labels, static_cast<double>(s.used_bytes));
+  sink->Counter("stratus_imcs_row_invalidations", labels, s.row_invalidations);
+  sink->Counter("stratus_imcs_coarse_invalidations", labels, s.coarse_invalidations);
+}
+
+void ExportPopulation(obs::MetricsSink* sink, const obs::Labels& labels,
+                      const PopulationStats& s) {
+  sink->Counter("stratus_population_imcus", labels, s.imcus_populated);
+  sink->Counter("stratus_population_repopulations", labels, s.repopulations);
+  sink->Counter("stratus_population_tail_extensions", labels, s.tail_extensions);
+  sink->Counter("stratus_population_rows", labels, s.rows_populated);
+  sink->Counter("stratus_population_snapshot_retries", labels, s.snapshot_retries);
+  sink->Counter("stratus_population_capacity_rejections", labels,
+                s.capacity_rejections);
+}
+
+/// Commit-time IMCS maintenance (the DBIM Transaction Manager's role): marks
+/// every row a committing transaction touched invalid in each store, under
+/// the shared side of the population snapshot lock.
+class StoreInvalidationHooks : public CommitHooks {
+ public:
+  StoreInvalidationHooks(PrimaryImSync* sync, std::vector<ImStore*> stores)
+      : sync_(sync), stores_(std::move(stores)) {}
+  void PreCommitLock() override { sync_->LockShared(); }
+  void OnCommit(const Transaction& txn, Scn) override {
+    for (const auto& [oid, rid] : txn.im_touches) {
+      for (ImStore* store : stores_) store->MarkRowInvalid(rid.dba, rid.slot);
+    }
+  }
+  void PostCommitUnlock() override { sync_->UnlockShared(); }
+
+ private:
+  PrimaryImSync* sync_;
+  std::vector<ImStore*> stores_;
+};
+
+std::vector<std::unique_ptr<RedoLog>> MakeLogs(int threads, ScnAllocator* scns) {
+  std::vector<std::unique_ptr<RedoLog>> logs;
+  for (int i = 0; i < threads; ++i)
+    logs.push_back(std::make_unique<RedoLog>(static_cast<RedoThreadId>(i), scns));
+  return logs;
+}
+
+std::vector<RedoLog*> LogPtrs(const std::vector<std::unique_ptr<RedoLog>>& logs) {
+  std::vector<RedoLog*> out;
+  for (const auto& l : logs) out.push_back(l.get());
+  return out;
+}
+
+Status ReadOnly() {
+  return Status::FailedPrecondition("database has no write side");
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Database: the core both roles share
+// ---------------------------------------------------------------------------
+
+/// SCN allocation, redo generation, transactions and commit-time IMCS
+/// maintenance over the owning database's row store.
+struct Database::WriteSide {
+  WriteSide(Database* db, int redo_threads, std::vector<ImStore*> stores)
+      : logs(MakeLogs(redo_threads, &scns)),
+        txn_mgr(&scns, &db->txn_table_, &db->blocks_, LogPtrs(logs),
+                // Specialized redo flags transactions the standby IMCS cares
+                // about, whichever role generates the redo.
+                [db](ObjectId oid) {
+                  return ImOnStandby(db->catalog_.CurrentImService(oid));
+                }),
+        hooks(&im_sync, std::move(stores)) {}
+
+  ScnAllocator scns;
+  std::vector<std::unique_ptr<RedoLog>> logs;
+  TxnManager txn_mgr;
+  PrimaryImSync im_sync;
+  PrimarySnapshotSource snapshot_source{&txn_mgr, &im_sync};
+  StoreInvalidationHooks hooks;
+};
+
+Database::Database(const DatabaseOptions& options, const char* role,
+                   bool (*im_covers)(ImService))
+    : options_(options),
+      registry_(options.registry != nullptr ? options.registry
+                                            : &obs::MetricsRegistry::Global()),
+      role_(role),
+      im_covers_(im_covers),
+      slow_log_(options.slow_query_log_capacity, options.slow_query_threshold_us) {
+  obs::ExportBuildInfo(registry_);
+}
+
+Database::~Database() = default;
+
+void Database::InstallWriteSide(int redo_threads, Scn resume_scn,
+                                std::vector<ImStore*> stores) {
+  const bool im_integration = !stores.empty();
+  write_ = std::make_unique<WriteSide>(this, redo_threads, std::move(stores));
+  TxnManager& mgr = write_->txn_mgr;
+  mgr.set_specialized_redo(options_.specialized_redo);
+  write_->scns.AdvancePast(resume_scn);
+  mgr.Bootstrap(resume_scn, txn_table_.max_xid() + 1);
+  if (im_integration) {
+    mgr.SetPrimaryImIntegration(
+        [this](ObjectId oid) { return im_covers_(catalog_.CurrentImService(oid)); },
+        &write_->hooks);
+  }
+}
+
+TxnManager* Database::txn_manager() const {
+  return write_ != nullptr ? &write_->txn_mgr : nullptr;
+}
+
+RedoLog* Database::redo_log(int thread) const {
+  return write_->logs[static_cast<size_t>(thread)].get();
+}
+
+int Database::redo_threads() const {
+  return write_ != nullptr ? static_cast<int>(write_->logs.size()) : 0;
+}
+
+SnapshotSource* Database::write_snapshot_source() const {
+  return &write_->snapshot_source;
+}
+
+std::string Database::MetricsText() const { return registry_->ExportText(); }
+
+std::string Database::MetricsJson() const { return registry_->ExportJson(); }
+
+void Database::ExportDatabaseMetrics(obs::MetricsSink* sink,
+                                     const obs::Labels& labels) const {
+  const BufferCacheStats cache = cache_.stats();
+  sink->Counter("stratus_buffer_cache_logical_gets", labels, cache.logical_gets);
+  sink->Counter("stratus_buffer_cache_misses", labels, cache.misses);
+  const ScanTotals& t = query_engine_.totals();
   sink->Counter("stratus_scan_queries", labels, t.scans.load(std::memory_order_relaxed));
   sink->Counter("stratus_scan_joins", labels, t.joins.load(std::memory_order_relaxed));
   sink->Counter("stratus_scan_index_fetches", labels,
@@ -39,112 +172,254 @@ void ExportScanTotals(obs::MetricsSink* sink, const obs::Labels& labels,
                 t.kernel_scalar_rows.load(std::memory_order_relaxed));
 }
 
-void ExportBufferCache(obs::MetricsSink* sink, const obs::Labels& labels,
-                       const BufferCacheStats& s) {
-  sink->Counter("stratus_buffer_cache_logical_gets", labels, s.logical_gets);
-  sink->Counter("stratus_buffer_cache_misses", labels, s.misses);
+StatusOr<ObjectId> Database::CreateTable(const std::string& name, TenantId tenant,
+                                         Schema schema, ImService service,
+                                         bool identity_index, ObjectId object_id) {
+  if (object_id == kInvalidObjectId) {
+    if (write_ == nullptr) return ReadOnly();
+    StatusOr<ObjectId> oid =
+        catalog_.CreateTable(name, tenant, schema, service, identity_index,
+                             write_->scns.Current() + 1);
+    if (!oid.ok()) return oid;
+    object_id = *oid;
+  } else {
+    STRATUS_RETURN_IF_ERROR(catalog_.CreateTableWithId(
+        object_id, name, tenant, schema, service, identity_index, /*scn=*/0));
+  }
+  auto table = std::make_unique<Table>(object_id, tenant, name, std::move(schema),
+                                       &blocks_);
+  if (identity_index) table->CreateIdentityIndex();
+  {
+    std::unique_lock<std::shared_mutex> g(tables_mu_);
+    tables_.emplace(object_id, std::move(table));
+  }
+  RefreshImObject(object_id);
+  return object_id;
 }
 
-void ExportImStore(obs::MetricsSink* sink, const obs::Labels& labels,
-                   const ImStoreStats& s) {
-  sink->Gauge("stratus_imcs_smus_total", labels, static_cast<double>(s.smus_total));
-  sink->Gauge("stratus_imcs_smus_ready", labels, static_cast<double>(s.smus_ready));
-  sink->Gauge("stratus_imcs_used_bytes", labels, static_cast<double>(s.used_bytes));
-  sink->Counter("stratus_imcs_row_invalidations", labels, s.row_invalidations);
-  sink->Counter("stratus_imcs_coarse_invalidations", labels, s.coarse_invalidations);
+Table* Database::table(ObjectId object) const {
+  std::shared_lock<std::shared_mutex> g(tables_mu_);
+  auto it = tables_.find(object);
+  return it == tables_.end() ? nullptr : it->second.get();
 }
 
-void ExportPopulation(obs::MetricsSink* sink, const obs::Labels& labels,
-                      const PopulationStats& s) {
-  sink->Counter("stratus_population_imcus", labels, s.imcus_populated);
-  sink->Counter("stratus_population_repopulations", labels, s.repopulations);
-  sink->Counter("stratus_population_tail_extensions", labels, s.tail_extensions);
-  sink->Counter("stratus_population_rows", labels, s.rows_populated);
-  sink->Counter("stratus_population_snapshot_retries", labels, s.snapshot_retries);
-  sink->Counter("stratus_population_capacity_rejections", labels,
-                s.capacity_rejections);
+void Database::ForEachTable(
+    const std::function<void(ObjectId, Table*)>& fn) const {
+  std::shared_lock<std::shared_mutex> g(tables_mu_);
+  for (const auto& [oid, table] : tables_) fn(oid, table.get());
 }
 
-}  // namespace
+Table* Database::ImCoveredTable(ObjectId object) const {
+  // A dropped or unknown object's current IM service is kNone.
+  return im_covers_(catalog_.CurrentImService(object)) ? table(object) : nullptr;
+}
+
+void Database::RefreshImObject(ObjectId object) {
+  Table* covered = ImCoveredTable(object);
+  for (Populator* populator : Populators()) {
+    populator->DisableObject(object);
+    if (covered != nullptr) populator->EnableObject(covered);
+  }
+}
+
+Status Database::ApplyDictionaryDdl(const DdlMarker& marker, Scn scn) {
+  switch (marker.op) {
+    case DdlOp::kDropTable:
+      return catalog_.DropTable(marker.object_id, scn);
+    case DdlOp::kDropColumn: {
+      STRATUS_RETURN_IF_ERROR(
+          catalog_.DropColumn(marker.object_id, marker.column_idx, scn));
+      StatusOr<Schema> schema = catalog_.CurrentSchema(marker.object_id);
+      Table* t = table(marker.object_id);
+      if (schema.ok() && t != nullptr) t->UpdateSchema(*schema);
+      return Status::OK();
+    }
+    case DdlOp::kAlterInMemory:
+      return catalog_.SetImService(marker.object_id,
+                                   static_cast<ImService>(marker.im_service), scn);
+    case DdlOp::kNoInMemory:
+      return catalog_.SetImService(marker.object_id, ImService::kNone, scn);
+    case DdlOp::kNone:
+      return Status::OK();
+  }
+  return Status::OK();
+}
+
+StatusOr<uint32_t> Database::RegisterImExpression(ObjectId object, Expression expr) {
+  StatusOr<Schema> schema = catalog_.CurrentSchema(object);
+  if (!schema.ok()) return schema.status();
+  StatusOr<uint32_t> idx = im_exprs_.Register(object, *schema, std::move(expr));
+  if (!idx.ok()) return idx;
+  // Existing IMCUs lack the virtual column: drop and rebuild.
+  RefreshImObject(object);
+  return idx;
+}
+
+Transaction Database::Begin(RedoThreadId thread, TenantId tenant) {
+  if (write_ == nullptr) return Transaction{};
+  return write_->txn_mgr.Begin(thread, tenant);
+}
+
+Status Database::Insert(Transaction* txn, ObjectId object, Row row, RowId* rid) {
+  if (write_ == nullptr) return ReadOnly();
+  Table* t = table(object);
+  if (t == nullptr) return Status::NotFound("no such table");
+  return write_->txn_mgr.Insert(txn, t, std::move(row), rid);
+}
+
+Status Database::Update(Transaction* txn, ObjectId object, RowId rid, Row row) {
+  if (write_ == nullptr) return ReadOnly();
+  Table* t = table(object);
+  if (t == nullptr) return Status::NotFound("no such table");
+  return write_->txn_mgr.Update(txn, t, rid, std::move(row));
+}
+
+Status Database::UpdateByKey(Transaction* txn, ObjectId object, int64_t key,
+                             Row row) {
+  if (write_ == nullptr) return ReadOnly();
+  Table* t = table(object);
+  if (t == nullptr) return Status::NotFound("no such table");
+  if (t->index() == nullptr) return Status::FailedPrecondition("no identity index");
+  const std::optional<RowId> rid = t->index()->Lookup(key);
+  if (!rid.has_value()) return Status::NotFound("key not indexed");
+  return write_->txn_mgr.Update(txn, t, *rid, std::move(row));
+}
+
+Status Database::Delete(Transaction* txn, ObjectId object, RowId rid) {
+  if (write_ == nullptr) return ReadOnly();
+  Table* t = table(object);
+  if (t == nullptr) return Status::NotFound("no such table");
+  return write_->txn_mgr.Delete(txn, t, rid);
+}
+
+StatusOr<Scn> Database::Commit(Transaction* txn) {
+  if (write_ == nullptr) return ReadOnly();
+  return write_->txn_mgr.Commit(txn);
+}
+
+void Database::Abort(Transaction* txn) {
+  if (write_ != nullptr) write_->txn_mgr.Abort(txn);
+}
+
+QueryContext Database::MakeQueryContext() const {
+  QueryContext ctx;
+  ctx.catalog = &catalog_;
+  ctx.cache = &cache_;
+  ctx.resolver = &txn_table_;
+  ctx.table_lookup = [this](ObjectId oid) { return table(oid); };
+  ctx.snapshots = &snapshots_;
+  ctx.expressions = &im_exprs_;
+  ctx.default_dop = options_.scan_dop;
+  ctx.planner = options_.planner;
+  ctx.role = role_;
+  ctx.slow_log = &slow_log_;
+  AddQueryContext(&ctx);
+  return ctx;
+}
+
+StatusOr<QueryResult> Database::Query(const ScanQuery& query, InstanceId instance) {
+  const StatusOr<Scn> scn = ReadScn(instance);
+  if (!scn.ok()) return scn.status();
+  return query_engine_.ExecuteScan(MakeQueryContext(), query, *scn);
+}
+
+StatusOr<QueryResult> Database::QueryAt(const ScanQuery& query, Scn snapshot) {
+  if (snapshot == kInvalidScn)
+    return Status::InvalidArgument("invalid snapshot SCN");
+  return query_engine_.ExecuteScan(MakeQueryContext(), query, snapshot);
+}
+
+StatusOr<QueryResult> Database::MultiJoin(const MultiJoinQuery& query,
+                                          InstanceId instance) {
+  const StatusOr<Scn> scn = ReadScn(instance);
+  if (!scn.ok()) return scn.status();
+  return query_engine_.ExecuteMultiJoin(MakeQueryContext(), query, *scn);
+}
+
+StatusOr<QueryResult> Database::MultiJoinAt(const MultiJoinQuery& query,
+                                            Scn snapshot) {
+  if (snapshot == kInvalidScn)
+    return Status::InvalidArgument("invalid snapshot SCN");
+  return query_engine_.ExecuteMultiJoin(MakeQueryContext(), query, snapshot);
+}
+
+StatusOr<std::optional<Row>> Database::Fetch(ObjectId object, int64_t key,
+                                             InstanceId instance) {
+  const StatusOr<Scn> scn = ReadScn(instance);
+  if (!scn.ok()) return scn.status();
+  return query_engine_.IndexFetch(MakeQueryContext(), object, key, *scn);
+}
+
+size_t Database::PruneVersions() {
+  const StatusOr<Scn> live = ReadScn(kMasterInstance);
+  if (!live.ok()) return 0;
+  const Scn watermark = std::min(snapshots_.LowWatermark(), *live);
+  if (watermark == kInvalidScn) return 0;
+  size_t freed = 0;
+  const Dba high = blocks_.HighWater();
+  for (Dba dba = kTxnTableDbaCount; dba < high; ++dba) {
+    Block* b = blocks_.GetBlock(dba);
+    if (b != nullptr) freed += b->Prune(watermark, txn_table_);
+  }
+  return freed;
+}
+
+Status Database::PopulateNow(ObjectId object) {
+  const std::vector<Populator*> populators = Populators();
+  if (populators.empty())
+    return Status::FailedPrecondition(std::string(role_) + " IMCS disabled");
+  Status last = Status::OK();
+  for (Populator* populator : populators) {
+    Status st = populator->PopulateNow(object);
+    if (!st.ok()) last = st;
+  }
+  return last;
+}
 
 // ---------------------------------------------------------------------------
 // PrimaryDb
 // ---------------------------------------------------------------------------
 
-namespace {
-
-std::vector<RedoLog*> MakeLogPtrs(
-    const std::vector<std::unique_ptr<RedoLog>>& logs) {
-  std::vector<RedoLog*> out;
-  for (const auto& l : logs) out.push_back(l.get());
-  return out;
-}
-
-std::vector<std::unique_ptr<RedoLog>> MakeLogs(int threads, ScnAllocator* scns) {
-  std::vector<std::unique_ptr<RedoLog>> logs;
-  for (int i = 0; i < threads; ++i)
-    logs.push_back(std::make_unique<RedoLog>(static_cast<RedoThreadId>(i), scns));
-  return logs;
-}
-
-}  // namespace
-
 PrimaryDb::PrimaryDb(const DatabaseOptions& options)
-    : options_(options),
-      redo_logs_(MakeLogs(options.primary_redo_threads, &scns_)),
-      txn_mgr_(&scns_, &txn_table_, &blocks_, MakeLogPtrs(redo_logs_),
-               /*im_object_checker=*/
-               [this](ObjectId oid) {
-                 return ImOnStandby(catalog_.CurrentImService(oid));
-               }),
-      slow_log_(options.slow_query_log_capacity, options.slow_query_threshold_us) {
-  txn_mgr_.set_specialized_redo(options_.specialized_redo);
+    : Database(options, "primary", &ImOnPrimary) {
+  std::vector<ImStore*> stores;
   if (options_.primary_imcs_enabled) {
     im_store_ = std::make_unique<ImStore>(kMasterInstance, options_.im_pool_bytes);
-    snapshot_source_ = std::make_unique<PrimarySnapshotSource>(&txn_mgr_, &im_sync_);
+    stores.push_back(im_store_.get());
+  }
+  InstallWriteSide(options_.primary_redo_threads, /*resume_scn=*/0,
+                   std::move(stores));
+  if (im_store_ != nullptr) {
     PopulationOptions pop = options_.population;
     pop.home_fn = nullptr;  // The primary IMCS is not distributed here.
     pop.expressions = &im_exprs_;
     pop.chaos = nullptr;  // Crash injection targets the standby only.
-    populator_ = std::make_unique<Populator>(im_store_.get(), snapshot_source_.get(),
-                                             &blocks_, pop);
-    commit_hooks_ = std::make_unique<PrimaryCommitHooks>(&im_sync_, im_store_.get());
-    txn_mgr_.SetPrimaryImIntegration(
-        [this](ObjectId oid) {
-          return ImOnPrimary(catalog_.CurrentImService(oid));
-        },
-        commit_hooks_.get());
+    populator_ = std::make_unique<Populator>(
+        im_store_.get(), write_snapshot_source(), &blocks_, pop);
   }
-  registry_ = options_.registry != nullptr ? options_.registry
-                                           : &obs::MetricsRegistry::Global();
-  obs::ExportBuildInfo(registry_);
   metrics_cb_.Attach(registry_,
                      [this](obs::MetricsSink* sink) { ExportMetrics(sink); });
 }
 
 void PrimaryDb::ExportMetrics(obs::MetricsSink* sink) const {
   const obs::Labels labels{{"role", "primary"}};
-  ExportBufferCache(sink, labels, cache_.stats());
-  sink->Counter("stratus_txn_commits", labels, txn_mgr_.commits());
-  sink->Counter("stratus_txn_aborts", labels, txn_mgr_.aborts());
+  ExportDatabaseMetrics(sink, labels);
+  const TxnManager* mgr = txn_manager();
+  sink->Counter("stratus_txn_commits", labels, mgr->commits());
+  sink->Counter("stratus_txn_aborts", labels, mgr->aborts());
   sink->Gauge("stratus_visible_scn", labels,
-              static_cast<double>(txn_mgr_.visible_scn()));
+              static_cast<double>(mgr->visible_scn()));
   uint64_t redo_records = 0;
   Scn redo_last = kInvalidScn;
-  for (const auto& log : redo_logs_) {
-    redo_records += log->TotalRecords();
-    redo_last = std::max(redo_last, log->LastScn());
+  for (int i = 0; i < redo_threads(); ++i) {
+    redo_records += redo_log(i)->TotalRecords();
+    redo_last = std::max(redo_last, redo_log(i)->LastScn());
   }
   sink->Counter("stratus_redo_records", labels, redo_records);
   sink->Gauge("stratus_redo_last_scn", labels, static_cast<double>(redo_last));
   if (im_store_ != nullptr) ExportImStore(sink, labels, im_store_->Stats());
   if (populator_ != nullptr) ExportPopulation(sink, labels, populator_->stats());
-  ExportScanTotals(sink, labels, query_engine_.totals());
 }
-
-std::string PrimaryDb::MetricsText() const { return registry_->ExportText(); }
-
-std::string PrimaryDb::MetricsJson() const { return registry_->ExportJson(); }
 
 PrimaryDb::~PrimaryDb() { Stop(); }
 
@@ -160,81 +435,16 @@ void PrimaryDb::Stop() {
   if (populator_ != nullptr) populator_->Stop();
 }
 
-StatusOr<ObjectId> PrimaryDb::CreateTable(const std::string& name, TenantId tenant,
-                                          Schema schema, ImService service,
-                                          bool identity_index) {
-  StatusOr<ObjectId> oid =
-      catalog_.CreateTable(name, tenant, schema, service, identity_index,
-                           scns_.Current() + 1);
-  if (!oid.ok()) return oid;
-  auto table = std::make_unique<Table>(*oid, tenant, name, std::move(schema),
-                                       &blocks_);
-  if (identity_index) table->CreateIdentityIndex();
-  Table* raw = table.get();
-  {
-    std::unique_lock<std::shared_mutex> g(tables_mu_);
-    tables_.emplace(*oid, std::move(table));
-  }
-  if (populator_ != nullptr && ImOnPrimary(service)) populator_->EnableObject(raw);
-  return oid;
+StatusOr<Scn> PrimaryDb::ReadScn(InstanceId) const { return current_scn(); }
+
+std::vector<Populator*> PrimaryDb::Populators() {
+  if (populator_ == nullptr) return {};
+  return {populator_.get()};
 }
 
-Table* PrimaryDb::table(ObjectId object) const {
-  std::shared_lock<std::shared_mutex> g(tables_mu_);
-  auto it = tables_.find(object);
-  return it == tables_.end() ? nullptr : it->second.get();
-}
-
-Transaction PrimaryDb::Begin(RedoThreadId thread, TenantId tenant) {
-  return txn_mgr_.Begin(thread, tenant);
-}
-
-Status PrimaryDb::Insert(Transaction* txn, ObjectId object, Row row, RowId* rid) {
-  Table* t = table(object);
-  if (t == nullptr) return Status::NotFound("no such table");
-  return txn_mgr_.Insert(txn, t, std::move(row), rid);
-}
-
-Status PrimaryDb::Update(Transaction* txn, ObjectId object, RowId rid, Row row) {
-  Table* t = table(object);
-  if (t == nullptr) return Status::NotFound("no such table");
-  return txn_mgr_.Update(txn, t, rid, std::move(row));
-}
-
-Status PrimaryDb::UpdateByKey(Transaction* txn, ObjectId object, int64_t key,
-                              Row row) {
-  Table* t = table(object);
-  if (t == nullptr) return Status::NotFound("no such table");
-  if (t->index() == nullptr) return Status::FailedPrecondition("no identity index");
-  const std::optional<RowId> rid = t->index()->Lookup(key);
-  if (!rid.has_value()) return Status::NotFound("key not indexed");
-  return txn_mgr_.Update(txn, t, *rid, std::move(row));
-}
-
-Status PrimaryDb::Delete(Transaction* txn, ObjectId object, RowId rid) {
-  Table* t = table(object);
-  if (t == nullptr) return Status::NotFound("no such table");
-  return txn_mgr_.Delete(txn, t, rid);
-}
-
-StatusOr<Scn> PrimaryDb::Commit(Transaction* txn) { return txn_mgr_.Commit(txn); }
-
-void PrimaryDb::Abort(Transaction* txn) { txn_mgr_.Abort(txn); }
-
-QueryContext PrimaryDb::MakeQueryContext() {
-  QueryContext ctx;
-  ctx.catalog = &catalog_;
-  ctx.cache = &cache_;
-  ctx.resolver = &txn_table_;
-  ctx.table_lookup = [this](ObjectId oid) { return table(oid); };
-  if (im_store_ != nullptr) ctx.stores.push_back(im_store_.get());
-  ctx.snapshots = txn_mgr_.snapshots();
-  ctx.expressions = &im_exprs_;
-  ctx.default_dop = options_.scan_dop;
-  ctx.planner = options_.planner;
-  ctx.role = "primary";
-  ctx.slow_log = &slow_log_;
-  ctx.annotate = [this](QueryProfile* prof) {
+void PrimaryDb::AddQueryContext(QueryContext* ctx) const {
+  if (im_store_ != nullptr) ctx->stores.push_back(im_store_.get());
+  ctx->annotate = [this](QueryProfile* prof) {
     // On the primary the reference mark is its own visible SCN: a flashback
     // query (QueryAt) reads stale by construction, a current-SCN query by 0.
     prof->primary_scn = current_scn();
@@ -244,61 +454,6 @@ QueryContext PrimaryDb::MakeQueryContext() {
     prof->staleness_us = 0;
     prof->lag_sampled = true;
   };
-  return ctx;
-}
-
-StatusOr<QueryResult> PrimaryDb::Query(const ScanQuery& query) {
-  return query_engine_.ExecuteScan(MakeQueryContext(), query, current_scn());
-}
-
-StatusOr<QueryResult> PrimaryDb::QueryAt(const ScanQuery& query, Scn snapshot) {
-  return query_engine_.ExecuteScan(MakeQueryContext(), query, snapshot);
-}
-
-StatusOr<QueryResult> PrimaryDb::MultiJoin(const MultiJoinQuery& query) {
-  return query_engine_.ExecuteMultiJoin(MakeQueryContext(), query, current_scn());
-}
-
-StatusOr<QueryResult> PrimaryDb::MultiJoinAt(const MultiJoinQuery& query,
-                                             Scn snapshot) {
-  return query_engine_.ExecuteMultiJoin(MakeQueryContext(), query, snapshot);
-}
-
-StatusOr<std::optional<Row>> PrimaryDb::Fetch(ObjectId object, int64_t key) {
-  return query_engine_.IndexFetch(MakeQueryContext(), object, key, current_scn());
-}
-
-size_t PrimaryDb::PruneVersions() {
-  const Scn watermark = txn_mgr_.GcLowWatermark();
-  size_t freed = 0;
-  const Dba high = blocks_.HighWater();
-  for (Dba dba = kTxnTableDbaCount; dba < high; ++dba) {
-    Block* b = blocks_.GetBlock(dba);
-    if (b != nullptr) freed += b->Prune(watermark, txn_table_);
-  }
-  return freed;
-}
-
-Status PrimaryDb::PopulateNow(ObjectId object) {
-  if (populator_ == nullptr)
-    return Status::FailedPrecondition("primary IMCS disabled");
-  return populator_->PopulateNow(object);
-}
-
-StatusOr<uint32_t> PrimaryDb::RegisterImExpression(ObjectId object, Expression expr) {
-  StatusOr<Schema> schema = catalog_.CurrentSchema(object);
-  if (!schema.ok()) return schema.status();
-  StatusOr<uint32_t> idx = im_exprs_.Register(object, *schema, std::move(expr));
-  if (!idx.ok()) return idx;
-  // Existing IMCUs lack the virtual column: drop and rebuild (online — scans
-  // use the row path for the object until population completes).
-  Table* t = table(object);
-  if (populator_ != nullptr && t != nullptr &&
-      ImOnPrimary(catalog_.CurrentImService(object))) {
-    populator_->DisableObject(object);
-    populator_->EnableObject(t);
-  }
-  return idx;
 }
 
 // ---------------------------------------------------------------------------
@@ -306,9 +461,8 @@ StatusOr<uint32_t> PrimaryDb::RegisterImExpression(ObjectId object, Expression e
 // ---------------------------------------------------------------------------
 
 StandbyDb::StandbyDb(const DatabaseOptions& options, size_t num_streams)
-    : options_(options),
-      home_map_(options.standby_instances),
-      slow_log_(options.slow_query_log_capacity, options.slow_query_threshold_us) {
+    : Database(options, "standby", &ImOnStandby),
+      home_map_(options.standby_instances) {
   for (size_t i = 0; i < num_streams; ++i)
     streams_.push_back(std::make_unique<ReceivedLog>());
   instances_.resize(options_.standby_instances);
@@ -316,9 +470,6 @@ StandbyDb::StandbyDb(const DatabaseOptions& options, size_t num_streams)
     instances_[i].store =
         std::make_unique<ImStore>(i, options_.im_pool_bytes);
   }
-  registry_ = options_.registry != nullptr ? options_.registry
-                                           : &obs::MetricsRegistry::Global();
-  obs::ExportBuildInfo(registry_);
   metrics_cb_.Attach(
       registry_, [this](obs::MetricsSink* sink) { ExportCoreMetrics(sink); });
 }
@@ -327,8 +478,7 @@ void StandbyDb::ExportCoreMetrics(obs::MetricsSink* sink) const {
   obs::Labels labels{{"role", "standby"}};
   if (!options_.standby_name.empty())
     labels.emplace_back("standby", options_.standby_name);
-  ExportBufferCache(sink, labels, cache_.stats());
-  ExportScanTotals(sink, labels, query_engine_.totals());
+  ExportDatabaseMetrics(sink, labels);
   sink->Gauge("stratus_applied_scn", labels,
               static_cast<double>(applied_scn()));
   sink->Gauge("stratus_published_query_scn", labels,
@@ -468,10 +618,6 @@ void StandbyDb::ExportPipelineMetrics(obs::MetricsSink* sink) const {
   }
 }
 
-std::string StandbyDb::MetricsText() const { return registry_->ExportText(); }
-
-std::string StandbyDb::MetricsJson() const { return registry_->ExportJson(); }
-
 StandbyDb::~StandbyDb() { Stop(); }
 
 void StandbyDb::BuildPipeline() {
@@ -529,14 +675,6 @@ void StandbyDb::BuildPipeline() {
     engine_ = std::make_unique<RedoApplyEngine>(
         std::make_unique<LogMerger>(std::move(stream_ptrs)), this, hooks,
         participant, driver, apply_opts);
-    if (engine_->coordinator() != nullptr) {
-      // Mirror publishes into an atomic that outlives the pipeline, so the
-      // lag monitor never dereferences a coordinator mid-teardown.
-      engine_->coordinator()->set_publish_listener([this](Scn scn) {
-        last_query_scn_.store(scn, std::memory_order_release);
-      });
-    }
-    engine_->Start();
   } else {
     // MIRA (Section V): split the merged stream by DBA across `mira` apply
     // engines; one *global* recovery coordinator folds every instance's
@@ -571,48 +709,31 @@ void StandbyDb::BuildPipeline() {
     mira_coordinator_ = std::make_unique<RecoveryCoordinator>(
         std::move(all_workers), driver);
     mira_coordinator_->set_chaos(options_.chaos);
-    mira_coordinator_->set_publish_listener([this](Scn scn) {
+  }
+  // Every publish stores the one QuerySCN (queries, the router and the lag
+  // monitor all read it) before the coordinator's own copy. It outlives the
+  // pipeline, so no reader dereferences a coordinator mid-teardown.
+  if (coordinator() != nullptr) {
+    coordinator()->set_publish_listener([this](Scn scn) {
       last_query_scn_.store(scn, std::memory_order_release);
     });
-    for (auto& e : mira_engines_) e->Start();
-    mira_coordinator_->Start();
-    splitter_->Start();
   }
+  if (engine_ != nullptr) engine_->Start();
+  for (auto& e : mira_engines_) e->Start();
+  if (mira_coordinator_ != nullptr) mira_coordinator_->Start();
+  if (splitter_ != nullptr) splitter_->Start();
 
   if (options_.standby_imadg_enabled) {
     // Population per instance: the master captures snapshots under the
     // Quiesce lock; remote instances capture through their endpoint.
-    for (uint32_t i = 0; i < options_.standby_instances; ++i) {
-      if (i == kMasterInstance) {
-        instances_[i].snapshot_source = std::make_unique<StandbySnapshotSource>(
-            coordinator(), &txn_table_);
-      }
-      PopulationOptions pop = options_.population;
-      pop.expressions = &im_exprs_;
-      pop.chaos = options_.chaos;
-      if (options_.standby_instances > 1) {
-        pop.home_fn = [this](ObjectId oid, uint64_t ordinal) {
-          return home_map_.HomeOf(oid, ordinal);
-        };
-      }
-      SnapshotSource* src = i == kMasterInstance
-                                ? instances_[i].snapshot_source.get()
-                                : static_cast<SnapshotSource*>(
-                                      instances_[i].remote.get());
-      instances_[i].populator = std::make_unique<Populator>(
-          instances_[i].store.get(), src, &blocks_, pop);
-    }
-    EnableConfiguredObjects();
-    for (auto& inst : instances_) {
-      // Snapshot-resume restart: SMUs reloaded from the IMCS snapshot (disk
-      // recovery ran before this pipeline was built) count as coverage, so
-      // the populators extend from the snapshot instead of rebuilding every
-      // IMCU from scratch. A no-op on an empty store.
-      if (inst.populator != nullptr) inst.populator->SeedCoverageFromStore();
-    }
-    for (auto& inst : instances_) {
-      if (inst.populator != nullptr) inst.populator->Start();
-    }
+    instances_[kMasterInstance].snapshot_source =
+        std::make_unique<StandbySnapshotSource>(coordinator(), &txn_table_);
+    StartPopulation(
+        [this](InstanceId i) -> SnapshotSource* {
+          if (i == kMasterInstance) return instances_[i].snapshot_source.get();
+          return instances_[i].remote.get();
+        },
+        options_.chaos);
   }
 
   // Registered last: everything the callback reads now exists, and
@@ -623,15 +744,43 @@ void StandbyDb::BuildPipeline() {
   });
 }
 
-void StandbyDb::EnableConfiguredObjects() {
-  for (ObjectId oid : catalog_.AllObjects()) {
-    if (!ImOnStandby(catalog_.CurrentImService(oid))) continue;
-    Table* t = FindOrNullTable(oid);
-    if (t == nullptr) continue;
-    for (auto& inst : instances_) {
-      if (inst.populator != nullptr) inst.populator->EnableObject(t);
-    }
+void StandbyDb::StartPopulation(
+    const std::function<SnapshotSource*(InstanceId)>& source,
+    chaos::ChaosController* chaos) {
+  PopulationOptions pop = options_.population;
+  pop.expressions = &im_exprs_;
+  pop.chaos = chaos;
+  if (options_.standby_instances > 1) {
+    pop.home_fn = [this](ObjectId oid, uint64_t ordinal) {
+      return home_map_.HomeOf(oid, ordinal);
+    };
   }
+  for (uint32_t i = 0; i < instances_.size(); ++i) {
+    instances_[i].populator = std::make_unique<Populator>(
+        instances_[i].store.get(), source(i), &blocks_, pop);
+  }
+  const std::vector<Populator*> populators = Populators();
+  for (ObjectId oid : catalog_.AllObjects()) {
+    Table* t = ImCoveredTable(oid);
+    if (t == nullptr) continue;
+    for (Populator* populator : populators) populator->EnableObject(t);
+  }
+  for (Populator* populator : populators) {
+    // Snapshot-resume restart: SMUs reloaded from the IMCS snapshot (disk
+    // recovery ran before this pipeline was built) count as coverage, so
+    // the populators extend from the snapshot instead of rebuilding every
+    // IMCU from scratch. A no-op on an empty store.
+    populator->SeedCoverageFromStore();
+    populator->Start();
+  }
+}
+
+std::vector<Populator*> StandbyDb::Populators() {
+  std::vector<Populator*> out;
+  for (auto& inst : instances_) {
+    if (inst.populator != nullptr) out.push_back(inst.populator.get());
+  }
+  return out;
 }
 
 void StandbyDb::TearDownPipeline(bool crash) {
@@ -649,8 +798,6 @@ void StandbyDb::TearDownPipeline(bool crash) {
   for (auto& inst : instances_) {
     if (inst.populator != nullptr) inst.populator->Stop();
   }
-  if (coordinator() != nullptr)
-    last_query_scn_.store(coordinator()->query_scn(), std::memory_order_release);
   if (splitter_ != nullptr) splitter_->Stop();
   if (engine_ != nullptr) {
     stop(engine_.get());
@@ -720,15 +867,13 @@ void StandbyDb::Shutdown(bool crash) {
 
 void StandbyDb::Stop() {
   Shutdown(/*crash=*/false);
-  if (promoted_) {
-    for (auto& inst : instances_) {
-      if (inst.populator != nullptr) inst.populator->Stop();
-    }
+  if (promoted()) {
+    for (Populator* populator : Populators()) populator->Stop();
   }
 }
 
 Status StandbyDb::Restart(RestartMode mode) {
-  if (promoted_)
+  if (promoted())
     return Status::FailedPrecondition("promoted standby no longer applies redo");
   if (mode.from_disk && !options_.persist.enabled)
     return Status::FailedPrecondition("persistence not enabled");
@@ -749,10 +894,7 @@ Status StandbyDb::Restart(RestartMode mode) {
     for (auto& s : streams_) s->SetDurableSink(nullptr);
     blocks_.Reset();
     txn_table_.Reset();
-    {
-      std::unique_lock<std::shared_mutex> g(tables_mu_);
-      for (auto& [oid, table] : tables_) table->ResetSegment();
-    }
+    ForEachTable([](ObjectId, Table* table) { table->ResetSegment(); });
     {
       std::lock_guard<std::mutex> g(accounting_mu_);
       apply_accounting_.clear();
@@ -852,30 +994,23 @@ Status StandbyDb::RecoverFromDisk() {
 
   persist::RecoveryHooks hooks;
   hooks.restore_table = [this](const persist::TableImage& img) {
-    Schema schema(img.columns);
-    if (!catalog_.Exists(img.object_id)) {
-      // Cold start: the dictionary is rebuilt from the checkpoint at SCN 0
-      // (schema history below the checkpoint is not retained — flashback
-      // reads below the recovery floor are out of scope for a restart).
-      (void)catalog_.CreateTableWithId(
-          img.object_id, img.name, img.tenant, schema,
-          static_cast<ImService>(img.im_service), img.identity_index,
-          /*scn=*/0);
-    }
-    Table* t = FindOrNullTable(img.object_id);
-    if (t == nullptr) {
-      auto table = std::make_unique<Table>(img.object_id, img.tenant, img.name,
-                                           schema, &blocks_);
-      if (img.identity_index) table->CreateIdentityIndex();
-      t = table.get();
-      std::unique_lock<std::shared_mutex> g(tables_mu_);
-      tables_.emplace(img.object_id, std::move(table));
-    }
+    // Cold start: the dictionary is rebuilt from the checkpoint at SCN 0
+    // (schema history below the checkpoint is not retained — flashback
+    // reads below the recovery floor are out of scope for a restart). A warm
+    // restart already has the table (AlreadyExists).
+    (void)CreateTable(img.name, img.tenant, Schema(img.columns),
+                      static_cast<ImService>(img.im_service),
+                      img.identity_index, img.object_id);
     // The recorded list preserves scan order; NoteBlock discovery would not.
-    t->RestoreBlocks(img.blocks);
+    Table* t = table(img.object_id);
+    if (t != nullptr) t->RestoreBlocks(img.blocks);
   };
   hooks.restore_block = [this](const persist::BlockImage& img) {
-    Table* t = FindOrNullTable(img.object_id);
+    Table* t = table(img.object_id);
+    // A block the capture reached after the table's block list (an insert
+    // racing the fuzzy checkpoint) joins the segment here: replay skips
+    // that insert, its effect being in the image already.
+    if (t != nullptr) t->NoteBlock(img.dba);
     auto* index = t != nullptr ? t->index() : nullptr;
     for (size_t slot = 0; slot < img.chains.size(); ++slot) {
       const SlotChainImage& chain = img.chains[slot];
@@ -897,22 +1032,9 @@ Status StandbyDb::RecoverFromDisk() {
       }
     }
   };
-  hooks.note_applied = [this](const ChangeVector& cv) {
-    Table* t = FindOrNullTable(cv.object_id);
-    if (t != nullptr) {
-      t->NoteBlock(cv.dba);
-      if (cv.kind == CvKind::kInsert && t->index() != nullptr &&
-          !cv.after.empty() && cv.after[0].type() == ValueType::kInt) {
-        t->index()->Insert(cv.after[0].as_int(), RowId{cv.dba, cv.slot});
-      }
-    }
-    if (options_.apply_accounting) {
-      std::lock_guard<std::mutex> g(accounting_mu_);
-      ++apply_accounting_[AccountingKey(cv.dba, cv.slot)];
-    }
-  };
+  hooks.note_applied = [this](const ChangeVector& cv) { NoteApplied(cv); };
   hooks.apply_ddl = [this](const DdlMarker& marker, Scn scn) {
-    ApplyDdlDictionary(marker, scn);
+    (void)ApplyDictionaryDdl(marker, scn);
   };
 
   persist::RecoveryManager manager(&blocks_, &txn_table_,
@@ -967,23 +1089,19 @@ Status StandbyDb::TakeCheckpoint() {
   // an equally valid floor (recovery certified completeness through it).
   img.recovery_scn = std::max(published_query_scn(),
                               disk_recovered_scn_.load(std::memory_order_acquire));
-  {
-    std::shared_lock<std::shared_mutex> g(tables_mu_);
-    img.tables.reserve(tables_.size());
-    for (const auto& [oid, table] : tables_) {
-      persist::TableImage t;
-      t.object_id = oid;
-      t.tenant = catalog_.TenantOf(oid);
-      StatusOr<std::string> name = catalog_.NameOf(oid);
-      if (name.ok()) t.name = std::move(*name);
-      StatusOr<Schema> schema = catalog_.CurrentSchema(oid);
-      if (schema.ok()) t.columns = schema->columns();
-      t.im_service = static_cast<uint8_t>(catalog_.CurrentImService(oid));
-      t.identity_index = catalog_.HasIdentityIndex(oid);
-      t.blocks = table->SnapshotBlocks();
-      img.tables.push_back(std::move(t));
-    }
-  }
+  ForEachTable([&](ObjectId oid, Table* table) {
+    persist::TableImage t;
+    t.object_id = oid;
+    t.tenant = catalog_.TenantOf(oid);
+    StatusOr<std::string> name = catalog_.NameOf(oid);
+    if (name.ok()) t.name = std::move(*name);
+    StatusOr<Schema> schema = catalog_.CurrentSchema(oid);
+    if (schema.ok()) t.columns = schema->columns();
+    t.im_service = static_cast<uint8_t>(catalog_.CurrentImService(oid));
+    t.identity_index = catalog_.HasIdentityIndex(oid);
+    t.blocks = table->SnapshotBlocks();
+    img.tables.push_back(std::move(t));
+  });
   // Fuzzy: each block captured under its own latch, apply running throughout;
   // images come back frontier-ascending (oldest dirt first, ARIES-style).
   persist::CaptureBlockImages(blocks_, &img.blocks);
@@ -1009,59 +1127,6 @@ void StandbyDb::ResetHealthForRestart() {
   first_apply_error_.clear();
 }
 
-Status StandbyDb::MirrorCreateTable(ObjectId object_id, const std::string& name,
-                                    TenantId tenant, Schema schema,
-                                    ImService service, bool identity_index) {
-  STRATUS_RETURN_IF_ERROR(catalog_.CreateTableWithId(
-      object_id, name, tenant, schema, service, identity_index, /*scn=*/0));
-  auto table = std::make_unique<Table>(object_id, tenant, name, std::move(schema),
-                                       &blocks_);
-  if (identity_index) table->CreateIdentityIndex();
-  Table* raw = table.get();
-  {
-    std::unique_lock<std::shared_mutex> g(tables_mu_);
-    tables_.emplace(object_id, std::move(table));
-  }
-  if (started_ && ImOnStandby(service)) {
-    for (auto& inst : instances_) {
-      if (inst.populator != nullptr) inst.populator->EnableObject(raw);
-    }
-  }
-  return Status::OK();
-}
-
-Table* StandbyDb::FindOrNullTable(ObjectId object) const {
-  std::shared_lock<std::shared_mutex> g(tables_mu_);
-  auto it = tables_.find(object);
-  return it == tables_.end() ? nullptr : it->second.get();
-}
-
-Table* StandbyDb::table(ObjectId object) const { return FindOrNullTable(object); }
-
-void StandbyDb::ApplyDdlDictionary(const DdlMarker& marker, Scn scn) {
-  switch (marker.op) {
-    case DdlOp::kDropTable:
-      (void)catalog_.DropTable(marker.object_id, scn);
-      return;
-    case DdlOp::kDropColumn: {
-      (void)catalog_.DropColumn(marker.object_id, marker.column_idx, scn);
-      StatusOr<Schema> schema = catalog_.CurrentSchema(marker.object_id);
-      Table* t = FindOrNullTable(marker.object_id);
-      if (schema.ok() && t != nullptr) t->UpdateSchema(*schema);
-      return;
-    }
-    case DdlOp::kAlterInMemory:
-      (void)catalog_.SetImService(marker.object_id,
-                                  static_cast<ImService>(marker.im_service), scn);
-      return;
-    case DdlOp::kNoInMemory:
-      (void)catalog_.SetImService(marker.object_id, ImService::kNone, scn);
-      return;
-    case DdlOp::kNone:
-      return;
-  }
-}
-
 Status StandbyDb::ApplyCv(const ChangeVector& cv) {
   // Monotonic CV-level apply mark (lag monitoring). CAS max: workers apply
   // out of SCN order across blocks.
@@ -1071,33 +1136,16 @@ Status StandbyDb::ApplyCv(const ChangeVector& cv) {
                               std::memory_order_relaxed)) {
   }
   switch (cv.kind) {
-    case CvKind::kInsert: {
-      Block* b = blocks_.EnsureBlock(cv.dba, cv.object_id, cv.tenant);
-      if (b == nullptr)
-        return FinishDataApply(cv, Status::Internal("txn-table dba in data CV"));
-      Status st = b->ApplyInsert(cv.slot, cv.xid, cv.after, cv.scn);
-      if (st.ok()) {
-        Table* t = FindOrNullTable(cv.object_id);
-        if (t != nullptr) {
-          t->NoteBlock(cv.dba);
-          if (t->index() != nullptr && !cv.after.empty() &&
-              cv.after[0].type() == ValueType::kInt) {
-            t->index()->Insert(cv.after[0].as_int(), RowId{cv.dba, cv.slot});
-          }
-        }
-      }
-      return FinishDataApply(cv, std::move(st));
-    }
-    case CvKind::kUpdate: {
-      Block* b = blocks_.EnsureBlock(cv.dba, cv.object_id, cv.tenant);
-      if (b == nullptr)
-        return FinishDataApply(cv, Status::Internal("txn-table dba in data CV"));
-      return FinishDataApply(cv, b->ApplyUpdate(cv.slot, cv.xid, cv.after, cv.scn));
-    }
+    case CvKind::kInsert:
+    case CvKind::kUpdate:
     case CvKind::kDelete: {
       Block* b = blocks_.EnsureBlock(cv.dba, cv.object_id, cv.tenant);
       if (b == nullptr)
         return FinishDataApply(cv, Status::Internal("txn-table dba in data CV"));
+      if (cv.kind == CvKind::kInsert)
+        return FinishDataApply(cv, b->ApplyInsert(cv.slot, cv.xid, cv.after, cv.scn));
+      if (cv.kind == CvKind::kUpdate)
+        return FinishDataApply(cv, b->ApplyUpdate(cv.slot, cv.xid, cv.after, cv.scn));
       return FinishDataApply(cv, b->ApplyDelete(cv.slot, cv.xid, cv.scn));
     }
     case CvKind::kTxnBegin:
@@ -1113,7 +1161,7 @@ Status StandbyDb::ApplyCv(const ChangeVector& cv) {
       // The dictionary change is SCN-effective immediately (queries at older
       // QuerySCNs resolve old versions); IMCU drops wait for the QuerySCN
       // advancement that covers the marker (Section III.G).
-      ApplyDdlDictionary(cv.ddl, cv.scn);
+      (void)ApplyDictionaryDdl(cv.ddl, cv.scn);
       return Status::OK();
     case CvKind::kHeartbeat:
       return Status::OK();
@@ -1121,13 +1169,28 @@ Status StandbyDb::ApplyCv(const ChangeVector& cv) {
   return Status::Internal("unknown change vector kind");
 }
 
-Status StandbyDb::FinishDataApply(const ChangeVector& cv, Status st) {
-  if (st.ok() && options_.apply_accounting) {
-    // Physical apply succeeded: count it. Survives restarts, so the chaos
-    // auditor can compare against the shipped-DML ledger for exactly-once.
+void StandbyDb::NoteApplied(const ChangeVector& cv) {
+  if (cv.kind == CvKind::kInsert) {
+    Table* t = table(cv.object_id);
+    if (t != nullptr) {
+      t->NoteBlock(cv.dba);
+      if (t->index() != nullptr && !cv.after.empty() &&
+          cv.after[0].type() == ValueType::kInt) {
+        t->index()->Insert(cv.after[0].as_int(), RowId{cv.dba, cv.slot});
+      }
+    }
+  }
+  if (options_.apply_accounting) {
+    // Counts every successful physical apply and survives restarts, so the
+    // chaos auditor can compare against the shipped-DML ledger for
+    // exactly-once.
     std::lock_guard<std::mutex> g(accounting_mu_);
     ++apply_accounting_[AccountingKey(cv.dba, cv.slot)];
   }
+}
+
+Status StandbyDb::FinishDataApply(const ChangeVector& cv, Status st) {
+  if (st.ok()) NoteApplied(cv);
   if (st.ok() && options_.chaos != nullptr && options_.chaos->ShouldFailApply()) {
     st = Status::Internal("chaos: injected apply error");
   }
@@ -1178,38 +1241,32 @@ std::unordered_map<uint64_t, uint64_t> StandbyDb::ApplyAccountingSnapshot() cons
 }
 
 Scn StandbyDb::query_scn(InstanceId instance) const {
-  if (promoted_) return promoted_mgr_->visible_scn();
+  if (promoted()) return txn_manager()->visible_scn();
   if (instance != kMasterInstance && instance < instances_.size() &&
       instances_[instance].remote != nullptr) {
     return instances_[instance].remote->query_scn();
   }
-  RecoveryCoordinator* coordinator =
-      const_cast<StandbyDb*>(this)->StandbyDb::coordinator();
-  if (coordinator != nullptr) return coordinator->query_scn();
   return last_query_scn_.load(std::memory_order_acquire);
 }
 
 Scn StandbyDb::WaitForQueryScn(Scn target, int64_t timeout_us) const {
+  // The coordinator stores its copy after last_query_scn_, so once the wait
+  // sees `target` so does query_scn().
   RecoveryCoordinator* coordinator =
       const_cast<StandbyDb*>(this)->StandbyDb::coordinator();
-  if (coordinator == nullptr) return query_scn();
-  return coordinator->WaitForQueryScn(target, timeout_us);
+  if (coordinator != nullptr) coordinator->WaitForQueryScn(target, timeout_us);
+  return query_scn();
 }
 
-QueryContext StandbyDb::MakeQueryContext() const {
-  QueryContext ctx;
-  ctx.catalog = &catalog_;
-  ctx.cache = &cache_;
-  ctx.resolver = &txn_table_;
-  ctx.table_lookup = [this](ObjectId oid) { return FindOrNullTable(oid); };
-  for (const auto& inst : instances_) ctx.stores.push_back(inst.store.get());
-  ctx.snapshots = const_cast<SnapshotRegistry*>(&snapshots_);
-  ctx.expressions = &im_exprs_;
-  ctx.default_dop = options_.scan_dop;
-  ctx.planner = options_.planner;
-  ctx.role = "standby";
-  ctx.slow_log = &slow_log_;
-  ctx.annotate = [this](QueryProfile* prof) {
+StatusOr<Scn> StandbyDb::ReadScn(InstanceId instance) const {
+  const Scn scn = query_scn(instance);
+  if (scn == kInvalidScn) return Status::Unavailable("no QuerySCN published yet");
+  return scn;
+}
+
+void StandbyDb::AddQueryContext(QueryContext* ctx) const {
+  for (const auto& inst : instances_) ctx->stores.push_back(inst.store.get());
+  ctx->annotate = [this](QueryProfile* prof) {
     // IM-ADG occupancy at execution: how much journal/commit-table state the
     // query's visibility checks had to navigate.
     if (journal_ != nullptr && commit_table_ != nullptr) {
@@ -1232,7 +1289,6 @@ QueryContext StandbyDb::MakeQueryContext() const {
       }
     }
   };
-  return ctx;
 }
 
 void StandbyDb::SetLagProbe(std::function<obs::LagSnapshot()> probe) {
@@ -1240,172 +1296,30 @@ void StandbyDb::SetLagProbe(std::function<obs::LagSnapshot()> probe) {
   lag_probe_ = std::move(probe);
 }
 
-StatusOr<QueryResult> StandbyDb::Query(const ScanQuery& query, InstanceId instance) {
-  const Scn scn = query_scn(instance);
-  if (scn == kInvalidScn)
-    return Status::Unavailable("no QuerySCN published yet");
-  return query_engine_.ExecuteScan(MakeQueryContext(), query, scn);
-}
-
-StatusOr<QueryResult> StandbyDb::QueryAt(const ScanQuery& query, Scn snapshot) {
-  if (snapshot == kInvalidScn)
-    return Status::InvalidArgument("invalid snapshot SCN");
-  return query_engine_.ExecuteScan(MakeQueryContext(), query, snapshot);
-}
-
-StatusOr<QueryResult> StandbyDb::MultiJoin(const MultiJoinQuery& query,
-                                           InstanceId instance) {
-  const Scn scn = query_scn(instance);
-  if (scn == kInvalidScn)
-    return Status::Unavailable("no QuerySCN published yet");
-  return query_engine_.ExecuteMultiJoin(MakeQueryContext(), query, scn);
-}
-
-StatusOr<QueryResult> StandbyDb::MultiJoinAt(const MultiJoinQuery& query,
-                                             Scn snapshot) {
-  if (snapshot == kInvalidScn)
-    return Status::InvalidArgument("invalid snapshot SCN");
-  return query_engine_.ExecuteMultiJoin(MakeQueryContext(), query, snapshot);
-}
-
-StatusOr<std::optional<Row>> StandbyDb::Fetch(ObjectId object, int64_t key,
-                                              InstanceId instance) {
-  const Scn scn = query_scn(instance);
-  if (scn == kInvalidScn)
-    return Status::Unavailable("no QuerySCN published yet");
-  return query_engine_.IndexFetch(MakeQueryContext(), object, key, scn);
-}
-
-Status StandbyDb::PopulateNow(ObjectId object) {
-  Status last = Status::OK();
-  for (auto& inst : instances_) {
-    if (inst.populator == nullptr)
-      return Status::FailedPrecondition("standby IMCS disabled");
-    Status st = inst.populator->PopulateNow(object);
-    if (!st.ok()) last = st;
-  }
-  return last;
-}
-
 Status StandbyDb::Promote() {
-  if (promoted_) return Status::FailedPrecondition("already promoted");
+  if (promoted()) return Status::FailedPrecondition("already promoted");
   // Terminal recovery: stop apply at the last consistent point. Everything
   // dispatched has been applied (workers drain on stop); shipped-but-
   // undispatched redo is abandoned, as in a failover.
   Stop();
-  promoted_ = true;
 
+  // The primary's write side over the physical database; SCN and XID
+  // allocation resume above everything applied. The instances' column stores
+  // carry over; their maintenance switches from redo mining to commit-time
+  // invalidation (the DBIM Transaction Manager role).
   const Scn last_applied = std::max(last_applied_scn_.load(std::memory_order_acquire),
                                     last_query_scn_.load(std::memory_order_acquire));
-  promoted_scns_.AdvancePast(last_applied == kInvalidScn ? 0 : last_applied);
-  promoted_logs_.push_back(std::make_unique<RedoLog>(0, &promoted_scns_));
-  promoted_mgr_ = std::make_unique<TxnManager>(
-      &promoted_scns_, &txn_table_, &blocks_,
-      std::vector<RedoLog*>{promoted_logs_[0].get()},
-      [this](ObjectId oid) { return ImOnStandby(catalog_.CurrentImService(oid)); });
-  promoted_mgr_->set_specialized_redo(options_.specialized_redo);
-  promoted_mgr_->Bootstrap(last_applied == kInvalidScn ? 0 : last_applied,
-                           txn_table_.max_xid() + 1);
-
-  // The IMCS survives promotion; its maintenance switches from redo mining to
-  // commit-time invalidation (the DBIM Transaction Manager role).
-  promoted_sync_ = std::make_unique<PrimaryImSync>();
   std::vector<ImStore*> stores;
   for (auto& inst : instances_) stores.push_back(inst.store.get());
-  promoted_hooks_ = std::make_unique<PromotedCommitHooks>(promoted_sync_.get(),
-                                                          std::move(stores));
-  promoted_mgr_->SetPrimaryImIntegration(
-      [this](ObjectId oid) { return ImOnStandby(catalog_.CurrentImService(oid)); },
-      promoted_hooks_.get());
-  promoted_snapshot_ = std::make_unique<PrimarySnapshotSource>(promoted_mgr_.get(),
-                                                               promoted_sync_.get());
+  InstallWriteSide(/*redo_threads=*/1, last_applied, std::move(stores));
 
-  // Population resumes against the promoted snapshot source. Existing SMUs
-  // keep serving; coverage bookkeeping restarts, so the populators treat the
-  // retained IMCUs as repopulation candidates only.
-  for (uint32_t i = 0; i < instances_.size(); ++i) {
-    PopulationOptions pop = options_.population;
-    pop.expressions = &im_exprs_;
-    if (options_.standby_instances > 1) {
-      pop.home_fn = [this](ObjectId oid, uint64_t ordinal) {
-        return home_map_.HomeOf(oid, ordinal);
-      };
-    }
-    instances_[i].populator = std::make_unique<Populator>(
-        instances_[i].store.get(), promoted_snapshot_.get(), &blocks_, pop);
-  }
-  // Drop retained SMUs so the restarted coverage bookkeeping stays truthful,
-  // then let population rebuild from the promoted snapshot.
+  // Population resumes against the write side's snapshot source. Coverage
+  // bookkeeping restarts, so drop the retained SMUs to keep it truthful and
+  // let population rebuild them.
   for (auto& inst : instances_) inst.store->Clear();
-  for (ObjectId oid : catalog_.AllObjects()) {
-    if (!ImOnStandby(catalog_.CurrentImService(oid))) continue;
-    Table* t = FindOrNullTable(oid);
-    if (t == nullptr) continue;
-    for (auto& inst : instances_) inst.populator->EnableObject(t);
-  }
-  for (auto& inst : instances_) inst.populator->Start();
+  StartPopulation([this](InstanceId) { return write_snapshot_source(); },
+                  /*chaos=*/nullptr);
   return Status::OK();
-}
-
-Transaction StandbyDb::Begin(RedoThreadId thread, TenantId tenant) {
-  return promoted_mgr_->Begin(thread, tenant);
-}
-
-Status StandbyDb::Insert(Transaction* txn, ObjectId object, Row row, RowId* rid) {
-  if (!promoted_) return Status::FailedPrecondition("standby is read-only");
-  Table* t = FindOrNullTable(object);
-  if (t == nullptr) return Status::NotFound("no such table");
-  return promoted_mgr_->Insert(txn, t, std::move(row), rid);
-}
-
-Status StandbyDb::UpdateByKey(Transaction* txn, ObjectId object, int64_t key,
-                              Row row) {
-  if (!promoted_) return Status::FailedPrecondition("standby is read-only");
-  Table* t = FindOrNullTable(object);
-  if (t == nullptr) return Status::NotFound("no such table");
-  if (t->index() == nullptr) return Status::FailedPrecondition("no identity index");
-  const std::optional<RowId> rid = t->index()->Lookup(key);
-  if (!rid.has_value()) return Status::NotFound("key not indexed");
-  return promoted_mgr_->Update(txn, t, *rid, std::move(row));
-}
-
-StatusOr<Scn> StandbyDb::Commit(Transaction* txn) {
-  if (!promoted_) return Status::FailedPrecondition("standby is read-only");
-  return promoted_mgr_->Commit(txn);
-}
-
-void StandbyDb::Abort(Transaction* txn) {
-  if (promoted_) promoted_mgr_->Abort(txn);
-}
-
-Status StandbyDb::MirrorImExpression(ObjectId object, Expression expr) {
-  StatusOr<Schema> schema = catalog_.CurrentSchema(object);
-  if (!schema.ok()) return schema.status();
-  StatusOr<uint32_t> idx = im_exprs_.Register(object, *schema, std::move(expr));
-  if (!idx.ok()) return idx.status();
-  Table* t = FindOrNullTable(object);
-  if (t != nullptr && ImOnStandby(catalog_.CurrentImService(object))) {
-    for (auto& inst : instances_) {
-      if (inst.populator == nullptr) continue;
-      inst.populator->DisableObject(object);
-      inst.populator->EnableObject(t);
-    }
-  }
-  return Status::OK();
-}
-
-size_t StandbyDb::PruneVersions() {
-  const Scn active = snapshots_.LowWatermark();
-  const Scn q = query_scn();
-  const Scn watermark = active == kMaxScn ? q : std::min(active, q);
-  if (watermark == kInvalidScn) return 0;
-  size_t freed = 0;
-  const Dba high = blocks_.HighWater();
-  for (Dba dba = kTxnTableDbaCount; dba < high; ++dba) {
-    Block* b = blocks_.GetBlock(dba);
-    if (b != nullptr) freed += b->Prune(watermark, txn_table_);
-  }
-  return freed;
 }
 
 // --- StandbyApplier ---------------------------------------------------------
@@ -1449,7 +1363,6 @@ bool StandbyDb::StandbyApplier::Drained() const {
 }
 
 void StandbyDb::StandbyApplier::OnPublished(Scn query_scn) {
-  db_->last_query_scn_.store(query_scn, std::memory_order_release);
   if (db_->channel_ != nullptr) db_->channel_->SendPublish(query_scn);
 
   std::vector<DdlMarker> pending;
@@ -1457,17 +1370,7 @@ void StandbyDb::StandbyApplier::OnPublished(Scn query_scn) {
     std::lock_guard<std::mutex> g(ddl_mu_);
     pending.swap(pending_ddl_);
   }
-  for (const DdlMarker& marker : pending) {
-    const bool enabled =
-        marker.op != DdlOp::kDropTable &&
-        ImOnStandby(db_->catalog_.CurrentImService(marker.object_id));
-    Table* t = db_->FindOrNullTable(marker.object_id);
-    for (auto& inst : db_->instances_) {
-      if (inst.populator == nullptr) continue;
-      inst.populator->DisableObject(marker.object_id);
-      if (enabled && t != nullptr) inst.populator->EnableObject(t);
-    }
-  }
+  for (const DdlMarker& marker : pending) db_->RefreshImObject(marker.object_id);
 }
 
 // ---------------------------------------------------------------------------
@@ -1511,8 +1414,10 @@ StatusOr<ObjectId> AdgCluster::CreateTable(const std::string& name, TenantId ten
   StatusOr<ObjectId> oid =
       primary_.CreateTable(name, tenant, schema, service, identity_index);
   if (!oid.ok()) return oid;
-  STRATUS_RETURN_IF_ERROR(standby_.MirrorCreateTable(
-      *oid, name, tenant, std::move(schema), service, identity_index));
+  STRATUS_RETURN_IF_ERROR(standby_
+                              .CreateTable(name, tenant, std::move(schema),
+                                           service, identity_index, *oid)
+                              .status());
   return oid;
 }
 
@@ -1520,7 +1425,7 @@ StatusOr<uint32_t> AdgCluster::RegisterImExpression(ObjectId object,
                                                     const Expression& expr) {
   StatusOr<uint32_t> idx = primary_.RegisterImExpression(object, expr);
   if (!idx.ok()) return idx;
-  STRATUS_RETURN_IF_ERROR(standby_.MirrorImExpression(object, expr));
+  STRATUS_RETURN_IF_ERROR(standby_.RegisterImExpression(object, expr).status());
   return idx;
 }
 

@@ -125,26 +125,45 @@ struct DatabaseOptions {
   persist::PersistOptions persist;
 };
 
-/// The primary database: row store, transactions, redo generation, and its
-/// own dual-format IMCS maintained by the DBIM Transaction Manager.
-class PrimaryDb {
+/// What both roles own: the row store, the dictionary and its one table map,
+/// the In-Memory Expression registry, the query engine with its entry points,
+/// slow-query log and metrics registry, version GC — and, once it has one,
+/// the write side (DESIGN.md §16). PrimaryDb builds its write side at
+/// construction; StandbyDb::Promote builds the same one over the row store
+/// redo apply maintained. Without a write side every DML call returns
+/// FailedPrecondition.
+class Database {
  public:
-  explicit PrimaryDb(const DatabaseOptions& options);
-  ~PrimaryDb();
+  virtual ~Database();
 
-  PrimaryDb(const PrimaryDb&) = delete;
-  PrimaryDb& operator=(const PrimaryDb&) = delete;
+  Database(const Database&) = delete;
+  Database& operator=(const Database&) = delete;
 
-  /// Starts background population (if primary IMCS is enabled).
-  void Start();
-  void Stop();
-
-  // --- DDL / bootstrap ----------------------------------------------------
+  // --- Dictionary ------------------------------------------------------------
+  /// The one table-creation path. With no `object_id` the dictionary
+  /// allocates one stamped above this database's SCNs (needs the write side);
+  /// with one, the definition mirrors (or, in disk recovery, restores) the
+  /// primary's at SCN 0, as the physically replicated dictionary would. The
+  /// table reaches this role's populators when its IM service covers the role.
   StatusOr<ObjectId> CreateTable(const std::string& name, TenantId tenant,
                                  Schema schema, ImService service,
-                                 bool identity_index);
+                                 bool identity_index,
+                                 ObjectId object_id = kInvalidObjectId);
+  /// The catalog steps of a dictionary-only DDL (Section III.G), effective at
+  /// `scn`: DdlExecutor runs them at its marker's SCN, the standby when redo
+  /// apply or disk recovery reaches the marker.
+  Status ApplyDictionaryDdl(const DdlMarker& marker, Scn scn);
+  /// Drops `object` from this role's populators (and its IMCUs from their
+  /// stores), then re-enables it if the role's IM service still covers it.
+  void RefreshImObject(ObjectId object);
+  /// Registers an In-Memory Expression (Section V) for `object` and refreshes
+  /// the object, so its IMCUs rebuild with the virtual column (online — scans
+  /// use the row path until population completes). Returns the expression's
+  /// virtual column index.
+  StatusOr<uint32_t> RegisterImExpression(ObjectId object, Expression expr);
 
-  // --- DML ------------------------------------------------------------------
+  // --- DML (FailedPrecondition without a write side) -------------------------
+  /// An empty Transaction without a write side.
   Transaction Begin(RedoThreadId thread = 0, TenantId tenant = kDefaultTenant);
   Status Insert(Transaction* txn, ObjectId object, Row row, RowId* rid = nullptr);
   Status Update(Transaction* txn, ObjectId object, RowId rid, Row row);
@@ -152,45 +171,51 @@ class PrimaryDb {
   Status UpdateByKey(Transaction* txn, ObjectId object, int64_t key, Row row);
   Status Delete(Transaction* txn, ObjectId object, RowId rid);
   StatusOr<Scn> Commit(Transaction* txn);
+  /// A no-op without a write side.
   void Abort(Transaction* txn);
 
   // --- Queries ---------------------------------------------------------------
-  StatusOr<QueryResult> Query(const ScanQuery& query);
-  /// Runs the scan at an explicit snapshot SCN (flashback-style read; used to
-  /// compare primary and standby results at the same consistency point).
+  /// Runs the scan at the role's live read SCN for `instance`: the primary's
+  /// visible SCN, the standby's published QuerySCN (Unavailable before the
+  /// first publish).
+  StatusOr<QueryResult> Query(const ScanQuery& query,
+                              InstanceId instance = kMasterInstance);
+  /// Runs the scan at an explicit snapshot SCN (flashback-style read; pins one
+  /// consistency point across executions and across the two roles).
+  /// InvalidArgument at kInvalidScn.
   StatusOr<QueryResult> QueryAt(const ScanQuery& query, Scn snapshot);
-  /// Star-schema chain of equi-joins with optional grouped aggregation.
-  StatusOr<QueryResult> MultiJoin(const MultiJoinQuery& query);
-  /// Multi-join at an explicit snapshot SCN (flashback-style read; the
-  /// standby-vs-primary consistency oracle).
+  /// Star-schema chain of equi-joins with optional grouped aggregation, at the
+  /// live read SCN.
+  StatusOr<QueryResult> MultiJoin(const MultiJoinQuery& query,
+                                  InstanceId instance = kMasterInstance);
+  /// Multi-join at an explicit snapshot SCN (QueryAt's join counterpart).
   StatusOr<QueryResult> MultiJoinAt(const MultiJoinQuery& query, Scn snapshot);
-  StatusOr<std::optional<Row>> Fetch(ObjectId object, int64_t key);
+  StatusOr<std::optional<Row>> Fetch(ObjectId object, int64_t key,
+                                     InstanceId instance = kMasterInstance);
+  QueryContext MakeQueryContext() const;
+  const QueryEngine& query_engine() const { return query_engine_; }
 
   // --- Maintenance -----------------------------------------------------------
-  /// One version-chain GC pass over all blocks; returns versions freed.
+  /// One version-chain GC pass over all blocks, below both the live read SCN
+  /// and every running query's snapshot; returns versions freed.
   size_t PruneVersions();
-  /// Synchronously populates the object's primary IMCUs.
+  /// Synchronously populates the object on every populator of this role.
   Status PopulateNow(ObjectId object);
 
-  /// Registers an In-Memory Expression (Section V) for `object` and schedules
-  /// the object's IMCUs for rebuild so the virtual column materializes.
-  /// Returns the expression's virtual column index.
-  StatusOr<uint32_t> RegisterImExpression(ObjectId object, Expression expr);
-
   // --- Accessors ---------------------------------------------------------------
+  /// Construction-time options (immutable; safe from any thread).
+  const DatabaseOptions& options() const { return options_; }
   Catalog* catalog() { return &catalog_; }
   Table* table(ObjectId object) const;
-  TxnManager* txn_manager() { return &txn_mgr_; }
-  ScnAllocator* scn_allocator() { return &scns_; }
-  RedoLog* redo_log(int thread) { return redo_logs_[thread].get(); }
-  int redo_threads() const { return static_cast<int>(redo_logs_.size()); }
   BufferCache* cache() { return &cache_; }
   BlockStore* block_store() { return &blocks_; }
-  ImStore* im_store() { return im_store_.get(); }
-  Populator* populator() { return populator_.get(); }
-  Scn current_scn() const { return txn_mgr_.visible_scn(); }
-  QueryContext MakeQueryContext();
-  const QueryEngine& query_engine() const { return query_engine_; }
+  TxnTable* txn_table() { return &txn_table_; }
+  /// The write side's transaction manager; null without one.
+  TxnManager* txn_manager() const;
+  /// Redo log of `thread` < redo_threads().
+  RedoLog* redo_log(int thread) const;
+  /// Redo threads of the write side (0 without one).
+  int redo_threads() const;
 
   // --- Observability -----------------------------------------------------------
   obs::MetricsRegistry* registry() const { return registry_; }
@@ -202,53 +227,88 @@ class PrimaryDb {
   SlowQueryLog* slow_query_log() { return &slow_log_; }
   const SlowQueryLog* slow_query_log() const { return &slow_log_; }
 
- private:
-  class PrimaryCommitHooks : public CommitHooks {
-   public:
-    PrimaryCommitHooks(PrimaryImSync* sync, ImStore* store)
-        : sync_(sync), store_(store) {}
-    void PreCommitLock() override { sync_->LockShared(); }
-    void OnCommit(const Transaction& txn, Scn commit_scn) override {
-      for (const auto& [oid, rid] : txn.im_touches)
-        store_->MarkRowInvalid(rid.dba, rid.slot);
-      (void)commit_scn;
-    }
-    void PostCommitUnlock() override { sync_->UnlockShared(); }
+ protected:
+  /// `role` tags query profiles; `im_covers` says whether an IM service
+  /// populates this role's IMCS (ImOnPrimary or ImOnStandby).
+  Database(const DatabaseOptions& options, const char* role,
+           bool (*im_covers)(ImService));
 
-   private:
-    PrimaryImSync* sync_;
-    ImStore* store_;
-  };
+  /// The role's live read SCN at `instance`, or why there is none yet.
+  virtual StatusOr<Scn> ReadScn(InstanceId instance) const = 0;
+  /// The role's column stores and profile annotation.
+  virtual void AddQueryContext(QueryContext* ctx) const = 0;
+  /// The role's populators (empty while its IMCS is down).
+  virtual std::vector<Populator*> Populators() = 0;
 
-  void ExportMetrics(obs::MetricsSink* sink) const;
+  /// Builds the write side over this database's row store: `redo_threads`
+  /// redo logs, SCN and XID allocation resuming above `resume_scn` and the
+  /// transaction table, and commit-time invalidation of touched rows in
+  /// `stores` (none: no primary IMCS integration).
+  void InstallWriteSide(int redo_threads, Scn resume_scn,
+                        std::vector<ImStore*> stores);
+  bool writable() const { return write_ != nullptr; }
+  /// Population snapshots at the write side's visible SCN.
+  SnapshotSource* write_snapshot_source() const;
+  /// The table when `object` exists and its IM service covers this role.
+  Table* ImCoveredTable(ObjectId object) const;
+  /// Calls `fn` for every table, under the table map's shared lock.
+  void ForEachTable(const std::function<void(ObjectId, Table*)>& fn) const;
+  /// Series both roles export: buffer cache and scan totals.
+  void ExportDatabaseMetrics(obs::MetricsSink* sink,
+                             const obs::Labels& labels) const;
 
   DatabaseOptions options_;
-  ScnAllocator scns_;
-  TxnTable txn_table_;
   BlockStore blocks_;
   BufferCache cache_{&blocks_};
+  TxnTable txn_table_;
   Catalog catalog_;
-  std::vector<std::unique_ptr<RedoLog>> redo_logs_;
-  TxnManager txn_mgr_;
+  ImExpressionRegistry im_exprs_;
+  obs::MetricsRegistry* registry_;
 
+ private:
+  struct WriteSide;
+
+  const char* const role_;
+  bool (*const im_covers_)(ImService);
   mutable std::shared_mutex tables_mu_;
   std::unordered_map<ObjectId, std::unique_ptr<Table>> tables_;
-
-  // Primary IMCS (dual format).
-  ImExpressionRegistry im_exprs_;
-  PrimaryImSync im_sync_;
-  std::unique_ptr<ImStore> im_store_;
-  std::unique_ptr<PrimarySnapshotSource> snapshot_source_;
-  std::unique_ptr<Populator> populator_;
-  std::unique_ptr<PrimaryCommitHooks> commit_hooks_;
-
+  std::unique_ptr<WriteSide> write_;
+  /// Snapshots of running queries (the GC watermark).
+  mutable SnapshotRegistry snapshots_;
   QueryEngine query_engine_;
-  SlowQueryLog slow_log_;
+  mutable SlowQueryLog slow_log_;
+};
+
+/// The primary database: the shared core with its write side (transactions,
+/// redo generation) and its own dual-format IMCS maintained by the DBIM
+/// Transaction Manager.
+class PrimaryDb : public Database {
+ public:
+  explicit PrimaryDb(const DatabaseOptions& options);
+  ~PrimaryDb() override;
+
+  /// Starts background population (if primary IMCS is enabled).
+  void Start();
+  void Stop();
+
+  ImStore* im_store() { return im_store_.get(); }
+  Populator* populator() { return populator_.get(); }
+  Scn current_scn() const { return txn_manager()->visible_scn(); }
+
+ protected:
+  StatusOr<Scn> ReadScn(InstanceId instance) const override;
+  void AddQueryContext(QueryContext* ctx) const override;
+  std::vector<Populator*> Populators() override;
+
+ private:
+  void ExportMetrics(obs::MetricsSink* sink) const;
+
+  std::unique_ptr<ImStore> im_store_;
+  std::unique_ptr<Populator> populator_;
   bool started_ = false;
 
   // Declared last: the export callback reads the members above, so it must
   // detach (destruct) before any of them go away.
-  obs::MetricsRegistry* registry_ = nullptr;
   obs::ScopedMetricsCallback metrics_cb_;
 };
 
@@ -267,16 +327,14 @@ struct RestartMode {
   bool from_disk = false;
 };
 
-/// The standby database: physical replica maintained by parallel redo apply,
-/// hosting the DBIM-on-ADG infrastructure and (optionally) a RAC-distributed
-/// IMCS across several instances.
-class StandbyDb : public ApplySink {
+/// The standby database: the shared core kept a physical replica by parallel
+/// redo apply, hosting the DBIM-on-ADG infrastructure and (optionally) a
+/// RAC-distributed IMCS across several instances. Promote() gives it the
+/// write side the primary builds.
+class StandbyDb : public Database, public ApplySink {
  public:
   StandbyDb(const DatabaseOptions& options, size_t num_streams);
   ~StandbyDb() override;
-
-  StandbyDb(const StandbyDb&) = delete;
-  StandbyDb& operator=(const StandbyDb&) = delete;
 
   /// Landing stream for primary redo thread `i` (wired to a LogShipper).
   ReceivedLog* stream(size_t i) { return streams_[i].get(); }
@@ -313,8 +371,6 @@ class StandbyDb : public ApplySink {
   /// Restart; callers touching it must hold delivery quiescent).
   persist::PersistController* persist() { return persist_.get(); }
   bool persist_enabled() const { return options_.persist.enabled; }
-  /// Construction-time options (immutable; safe from any thread).
-  const DatabaseOptions& options() const { return options_; }
   /// Point-in-time persist counters (zeroed struct when persistence is off);
   /// safe to call from any thread, including during a concurrent Restart.
   persist::PersistStats PersistStatsSnapshot() const;
@@ -331,57 +387,25 @@ class StandbyDb : public ApplySink {
     return disk_recovered_scn_.load(std::memory_order_acquire);
   }
 
-  // --- Bootstrap (physically replicated dictionary) -------------------------
-  Status MirrorCreateTable(ObjectId object_id, const std::string& name,
-                           TenantId tenant, Schema schema, ImService service,
-                           bool identity_index);
-
-  // --- Queries ----------------------------------------------------------------
-  /// The published QuerySCN of an instance (master or local coordinator).
+  // --- QuerySCN --------------------------------------------------------------
+  /// The QuerySCN queries run at: for the master instance the published
+  /// QuerySCN (the one value published_query_scn() reads); for a remote RAC
+  /// instance the QuerySCN it last received; after Promote() the write
+  /// side's visible SCN.
   Scn query_scn(InstanceId instance = kMasterInstance) const;
-  /// Waits until the master QuerySCN reaches `target`.
+  /// Waits until the master QuerySCN reaches `target`; returns query_scn().
   Scn WaitForQueryScn(Scn target, int64_t timeout_us) const;
-  StatusOr<QueryResult> Query(const ScanQuery& query,
-                              InstanceId instance = kMasterInstance);
-  /// Runs the scan at an explicit snapshot SCN instead of the live QuerySCN
-  /// (must be at or below the published QuerySCN to see consistent data).
-  /// Lets callers pin one consistency point across several executions — the
-  /// DOP-sweep tests re-run one query at every DOP against the same SCN.
-  StatusOr<QueryResult> QueryAt(const ScanQuery& query, Scn snapshot);
-  /// Star-schema chain of equi-joins at the live QuerySCN.
-  StatusOr<QueryResult> MultiJoin(const MultiJoinQuery& query,
-                                  InstanceId instance = 0);
-  /// Multi-join pinned at an explicit snapshot SCN (QueryAt's join
-  /// counterpart; the fleet router uses it for pinned-SCN contracts).
-  StatusOr<QueryResult> MultiJoinAt(const MultiJoinQuery& query, Scn snapshot);
-  StatusOr<std::optional<Row>> Fetch(ObjectId object, int64_t key,
-                                     InstanceId instance = kMasterInstance);
 
   // --- Failover (role transition) -----------------------------------------
   /// Promotes this standby to a read-write primary: terminates redo apply at
-  /// the last consistent point, bootstraps a transaction manager over the
+  /// the last consistent point, installs the primary's write side over the
   /// physical database (SCN/XID allocation resume above everything applied),
-  /// and rewires the IMCS — which survives promotion intact — to commit-time
-  /// maintenance. Received-but-undispatched redo is discarded, as in a
-  /// failover. Irreversible for this object.
+  /// and rewires the instances' column stores to commit-time maintenance,
+  /// repopulating them from the write side's snapshots. Received-but-
+  /// undispatched redo is discarded, as in a failover. Irreversible for this
+  /// object; FailedPrecondition the second time.
   Status Promote();
-  bool promoted() const { return promoted_; }
-
-  // --- DML (valid only after Promote()) -------------------------------------
-  Transaction Begin(RedoThreadId thread = 0, TenantId tenant = kDefaultTenant);
-  Status Insert(Transaction* txn, ObjectId object, Row row, RowId* rid = nullptr);
-  Status UpdateByKey(Transaction* txn, ObjectId object, int64_t key, Row row);
-  StatusOr<Scn> Commit(Transaction* txn);
-  void Abort(Transaction* txn);
-  TxnManager* promoted_txn_manager() { return promoted_mgr_.get(); }
-
-  // --- Maintenance -------------------------------------------------------------
-  Status PopulateNow(ObjectId object);
-  size_t PruneVersions();
-
-  /// Mirrors an In-Memory Expression registration (the dictionary metadata
-  /// replicates physically in real ADG; the cluster bootstraps it here).
-  Status MirrorImExpression(ObjectId object, Expression expr);
+  bool promoted() const { return writable(); }
 
   // --- ApplySink -----------------------------------------------------------------
   Status ApplyCv(const ChangeVector& cv) override;
@@ -409,20 +433,8 @@ class StandbyDb : public ApplySink {
   MiningComponent* mining() { return mining_.get(); }
   InvalidationFlushComponent* flush() { return flush_.get(); }
   InvalidationChannel* channel() { return channel_.get(); }
-  TxnTable* txn_table() { return &txn_table_; }
-  Catalog* catalog() { return &catalog_; }
-  Table* table(ObjectId object) const;
-  BufferCache* cache() { return &cache_; }
-  BlockStore* block_store() { return &blocks_; }
-  QueryContext MakeQueryContext() const;
 
   // --- Observability -----------------------------------------------------------
-  obs::MetricsRegistry* registry() const { return registry_; }
-  std::string MetricsText() const;
-  std::string MetricsJson() const;
-  /// This role's slow-query ring + in-flight registry.
-  SlowQueryLog* slow_query_log() { return &slow_log_; }
-  const SlowQueryLog* slow_query_log() const { return &slow_log_; }
   /// Installs (or clears, with nullptr) the freshness probe stamped into
   /// every query profile — StandbyLink wires its LagMonitor in here. The
   /// probe is invoked under an internal mutex, so clearing it guarantees no
@@ -433,8 +445,10 @@ class StandbyDb : public ApplySink {
   Scn applied_scn() const {
     return applied_high_scn_.load(std::memory_order_acquire);
   }
-  /// Last QuerySCN published by any pipeline incarnation (monotonic through
-  /// Stop()/Restart(), safe to read from monitor threads during teardown).
+  /// The published QuerySCN (monotonic through Stop(), reset by Restart();
+  /// safe to read from monitor threads during teardown). The fleet router,
+  /// lag monitor, checkpoints and v$standby_apply read it: the value a
+  /// master-instance query runs at.
   Scn published_query_scn() const {
     return last_query_scn_.load(std::memory_order_acquire);
   }
@@ -456,6 +470,11 @@ class StandbyDb : public ApplySink {
   /// Copy of the per-(dba,slot) successful-apply counters (empty unless
   /// DatabaseOptions::apply_accounting).
   std::unordered_map<uint64_t, uint64_t> ApplyAccountingSnapshot() const;
+
+ protected:
+  StatusOr<Scn> ReadScn(InstanceId instance) const override;
+  void AddQueryContext(QueryContext* ctx) const override;
+  std::vector<Populator*> Populators() override;
 
  private:
   class StandbyApplier : public InvalidationApplier {
@@ -480,8 +499,16 @@ class StandbyDb : public ApplySink {
   /// The shutdown step Stop() and Restart() share: stop the checkpoint
   /// thread, sync the archive unless `crash`, tear the pipeline down.
   void Shutdown(bool crash);
-  void EnableConfiguredObjects();
-  /// Common tail of every data-CV apply: accounting, chaos error injection,
+  /// Builds every instance's populator over `source(instance)`, enables the
+  /// objects the standby IM service covers and starts population (extending
+  /// any SMUs already in the stores).
+  void StartPopulation(const std::function<SnapshotSource*(InstanceId)>& source,
+                       chaos::ChaosController* chaos);
+  /// What an applied data CV leaves besides its block change, the same in
+  /// live apply and disk replay: an insert's block joins its table's segment
+  /// and its key the identity index; apply accounting counts the CV.
+  void NoteApplied(const ChangeVector& cv);
+  /// Common tail of every data-CV apply: NoteApplied, chaos error injection,
   /// and quarantine of the affected IMCUs on any non-OK status.
   Status FinishDataApply(const ChangeVector& cv, Status st);
   void QuarantineAfterApplyError(const ChangeVector& cv, const Status& st);
@@ -491,8 +518,6 @@ class StandbyDb : public ApplySink {
   /// Series owned by one pipeline incarnation (journal, flush, apply, …);
   /// the callback detaches before TearDownPipeline frees any of them.
   void ExportPipelineMetrics(obs::MetricsSink* sink) const;
-  Table* FindOrNullTable(ObjectId object) const;
-  void ApplyDdlDictionary(const DdlMarker& marker, Scn scn);
   /// First boot and from-disk Restart: opens the data directory with a fresh
   /// controller, recovers, rewinds every stream to its durable watermark and
   /// installs the archive tees. On error persist_ is left null.
@@ -505,15 +530,6 @@ class StandbyDb : public ApplySink {
   void InstallDurableSinks();
   void NotePersistError(const Status& st);
 
-  DatabaseOptions options_;
-  BlockStore blocks_;
-  BufferCache cache_{&blocks_};
-  TxnTable txn_table_;
-  Catalog catalog_;
-
-  mutable std::shared_mutex tables_mu_;
-  std::unordered_map<ObjectId, std::unique_ptr<Table>> tables_;
-
   std::vector<std::unique_ptr<ReceivedLog>> streams_;
 
   struct InstanceState {
@@ -524,7 +540,6 @@ class StandbyDb : public ApplySink {
   };
   std::vector<InstanceState> instances_;
   HomeLocationMap home_map_;
-  ImExpressionRegistry im_exprs_;
 
   // DBIM-on-ADG components (rebuilt on restart: no persistence).
   std::unique_ptr<ImAdgJournal> journal_;
@@ -544,12 +559,11 @@ class StandbyDb : public ApplySink {
   std::unique_ptr<RedoSplitter> splitter_;
   std::unique_ptr<RecoveryCoordinator> mira_coordinator_;
 
-  SnapshotRegistry snapshots_;
-  mutable QueryEngine query_engine_;
-  mutable SlowQueryLog slow_log_;
   mutable std::mutex lag_probe_mu_;
   std::function<obs::LagSnapshot()> lag_probe_;  ///< Guarded by lag_probe_mu_.
-  std::atomic<Scn> last_query_scn_{kInvalidScn};    ///< Survives Stop().
+  /// The published QuerySCN: every coordinator publish stores it before its
+  /// own copy. Survives Stop().
+  std::atomic<Scn> last_query_scn_{kInvalidScn};
   std::atomic<Scn> last_applied_scn_{kInvalidScn};  ///< Survives Stop().
   std::atomic<Scn> applied_high_scn_{kInvalidScn};  ///< CV-level apply mark.
   bool started_ = false;
@@ -579,34 +593,7 @@ class StandbyDb : public ApplySink {
   mutable std::mutex accounting_mu_;
   std::unordered_map<uint64_t, uint64_t> apply_accounting_;
 
-  // Failover state (the standby's new life as a primary).
-  class PromotedCommitHooks : public CommitHooks {
-   public:
-    PromotedCommitHooks(PrimaryImSync* sync, std::vector<ImStore*> stores)
-        : sync_(sync), stores_(std::move(stores)) {}
-    void PreCommitLock() override { sync_->LockShared(); }
-    void OnCommit(const Transaction& txn, Scn) override {
-      for (const auto& [oid, rid] : txn.im_touches) {
-        for (ImStore* store : stores_) store->MarkRowInvalid(rid.dba, rid.slot);
-      }
-    }
-    void PostCommitUnlock() override { sync_->UnlockShared(); }
-
-   private:
-    PrimaryImSync* sync_;
-    std::vector<ImStore*> stores_;
-  };
-
-  bool promoted_ = false;
-  ScnAllocator promoted_scns_;
-  std::vector<std::unique_ptr<RedoLog>> promoted_logs_;
-  std::unique_ptr<TxnManager> promoted_mgr_;
-  std::unique_ptr<PrimaryImSync> promoted_sync_;
-  std::unique_ptr<PrimarySnapshotSource> promoted_snapshot_;
-  std::unique_ptr<PromotedCommitHooks> promoted_hooks_;
-
   // Declared last (destroyed first): export callbacks read the members above.
-  obs::MetricsRegistry* registry_ = nullptr;
   obs::ScopedMetricsCallback metrics_cb_;           ///< Lifetime of the db.
   obs::ScopedMetricsCallback pipeline_metrics_cb_;  ///< Lifetime of a pipeline.
 };

@@ -2,14 +2,20 @@
 
 namespace stratus {
 
-Scn DdlExecutor::EmitMarker(const DdlMarker& marker) {
+Status DdlExecutor::Execute(DdlMarker marker) {
+  marker.tenant = db_->catalog()->TenantOf(marker.object_id);
   ChangeVector cv;
   cv.kind = CvKind::kDdlMarker;
   cv.dba = marker.object_id % kTxnTableDbaCount;  // Hashes to one worker.
   cv.object_id = marker.object_id;
   cv.tenant = marker.tenant;
   cv.ddl = marker;
-  return db_->redo_log(0)->Append({std::move(cv)});
+  const Scn scn = db_->redo_log(0)->Append({std::move(cv)});
+  STRATUS_RETURN_IF_ERROR(db_->ApplyDictionaryDdl(marker, scn));
+  // Immediate on the primary's own IMCS: IMCUs of the old shape (or of an
+  // object no longer in memory) are dropped, and rebuilt where still covered.
+  db_->RefreshImObject(marker.object_id);
+  return Status::OK();
 }
 
 Status DdlExecutor::DropTable(ObjectId object_id) {
@@ -17,12 +23,7 @@ Status DdlExecutor::DropTable(ObjectId object_id) {
   DdlMarker marker;
   marker.op = DdlOp::kDropTable;
   marker.object_id = object_id;
-  marker.tenant = db_->catalog()->TenantOf(object_id);
-  const Scn scn = EmitMarker(marker);
-  STRATUS_RETURN_IF_ERROR(db_->catalog()->DropTable(object_id, scn));
-  // Immediate on the primary's own IMCS.
-  if (db_->populator() != nullptr) db_->populator()->DisableObject(object_id);
-  return Status::OK();
+  return Execute(marker);
 }
 
 Status DdlExecutor::DropColumn(ObjectId object_id, const std::string& column_name) {
@@ -30,27 +31,11 @@ Status DdlExecutor::DropColumn(ObjectId object_id, const std::string& column_nam
   if (!schema.ok()) return schema.status();
   const int idx = schema->FindColumn(column_name);
   if (idx < 0) return Status::NotFound("no such column");
-
   DdlMarker marker;
   marker.op = DdlOp::kDropColumn;
   marker.object_id = object_id;
-  marker.tenant = db_->catalog()->TenantOf(object_id);
   marker.column_idx = static_cast<uint32_t>(idx);
-  const Scn scn = EmitMarker(marker);
-  STRATUS_RETURN_IF_ERROR(
-      db_->catalog()->DropColumn(object_id, marker.column_idx, scn));
-
-  Table* t = db_->table(object_id);
-  StatusOr<Schema> updated = db_->catalog()->CurrentSchema(object_id);
-  if (t != nullptr && updated.ok()) t->UpdateSchema(*updated);
-
-  // The primary's IMCUs with the old shape are dropped and rebuilt.
-  if (db_->populator() != nullptr &&
-      ImOnPrimary(db_->catalog()->CurrentImService(object_id))) {
-    db_->populator()->DisableObject(object_id);
-    if (t != nullptr) db_->populator()->EnableObject(t);
-  }
-  return Status::OK();
+  return Execute(marker);
 }
 
 Status DdlExecutor::AlterInMemory(ObjectId object_id, ImService service) {
@@ -58,17 +43,8 @@ Status DdlExecutor::AlterInMemory(ObjectId object_id, ImService service) {
   DdlMarker marker;
   marker.op = DdlOp::kAlterInMemory;
   marker.object_id = object_id;
-  marker.tenant = db_->catalog()->TenantOf(object_id);
   marker.im_service = static_cast<uint8_t>(service);
-  const Scn scn = EmitMarker(marker);
-  STRATUS_RETURN_IF_ERROR(db_->catalog()->SetImService(object_id, service, scn));
-
-  Table* t = db_->table(object_id);
-  if (db_->populator() != nullptr) {
-    db_->populator()->DisableObject(object_id);
-    if (ImOnPrimary(service) && t != nullptr) db_->populator()->EnableObject(t);
-  }
-  return Status::OK();
+  return Execute(marker);
 }
 
 Status DdlExecutor::NoInMemory(ObjectId object_id) {

@@ -10,12 +10,14 @@ namespace stratus {
 
 /// Primary-side executor for the dictionary-only DDLs the paper's Section
 /// III.G discusses. Each DDL:
-///  1. records a new SCN-effective version in the primary catalog,
-///  2. takes effect on the primary's own IMCS immediately (DBIM on the
-///     primary is tightly integrated with DDL),
-///  3. emits a redo *marker* change vector, which the standby's Mining
+///  1. emits a redo *marker* change vector, which the standby's Mining
 ///     Component buffers in the DDL Information Table so the standby's IMCUs
-///     are dropped exactly at the QuerySCN that covers the DDL.
+///     are dropped exactly at the QuerySCN that covers the DDL,
+///  2. records a new SCN-effective version in the primary catalog through
+///     Database::ApplyDictionaryDdl — the same step the standby runs when
+///     redo apply reaches the marker,
+///  3. takes effect on the primary's own IMCS immediately (DBIM on the
+///     primary is tightly integrated with DDL).
 class DdlExecutor {
  public:
   explicit DdlExecutor(PrimaryDb* db) : db_(db) {}
@@ -27,7 +29,8 @@ class DdlExecutor {
   Status NoInMemory(ObjectId object_id);
 
  private:
-  Scn EmitMarker(const DdlMarker& marker);
+  /// Fills the tenant, emits the marker and runs steps 2–3.
+  Status Execute(DdlMarker marker);
 
   PrimaryDb* db_;
 };

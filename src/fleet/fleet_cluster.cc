@@ -142,8 +142,10 @@ StatusOr<ObjectId> FleetCluster::CreateTable(const std::string& name,
       primary_.CreateTable(name, tenant, schema, service, identity_index);
   if (!oid.ok()) return oid;
   for (auto& node : nodes_) {
-    STRATUS_RETURN_IF_ERROR(node->db_.MirrorCreateTable(
-        *oid, name, tenant, schema, service, identity_index));
+    STRATUS_RETURN_IF_ERROR(
+        node->db_
+            .CreateTable(name, tenant, schema, service, identity_index, *oid)
+            .status());
   }
   return oid;
 }

@@ -179,10 +179,4 @@ ReadView TxnManager::MakeReadView(const Transaction* txn) const {
   return view;
 }
 
-Scn TxnManager::GcLowWatermark() const {
-  const Scn active = snapshots_.LowWatermark();
-  const Scn visible = visible_scn();
-  return active == kMaxScn ? visible : std::min(active, visible);
-}
-
 }  // namespace stratus

@@ -117,10 +117,6 @@ class TxnManager {
   ReadView MakeReadView(const Transaction* txn = nullptr) const;
 
   TxnTable* txn_table() const { return txn_table_; }
-  SnapshotRegistry* snapshots() { return &snapshots_; }
-
-  /// GC low watermark: no snapshot at or below it is active.
-  Scn GcLowWatermark() const;
 
   void set_specialized_redo(bool on) { specialized_redo_ = on; }
   bool specialized_redo() const { return specialized_redo_; }
@@ -160,7 +156,6 @@ class TxnManager {
   std::atomic<Xid> next_xid_{1};
   std::atomic<Scn> visible_scn_{kInvalidScn};
   std::mutex commit_mu_;
-  SnapshotRegistry snapshots_;
   bool specialized_redo_ = true;
 
   std::atomic<uint64_t> commits_{0};

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
+#include "common/clock.h"
+
 namespace stratus {
 namespace {
 
@@ -160,6 +165,40 @@ TEST_F(ClusterTest, QueryScnIsMonotonic) {
     last = now;
   }
   EXPECT_GT(last, 0u);
+}
+
+// A query runs at query_scn(); the fleet router, lag monitor, checkpoints
+// and v$standby_apply read published_query_scn(). Both read the one
+// published QuerySCN, so a read of the second never comes back below a read
+// of the first taken just before it, however publishes race the reader.
+TEST_F(ClusterTest, PublishedQueryScnNeverTrailsQueryScn) {
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    int64_t id = 1'000'000;
+    while (!stop.load(std::memory_order_relaxed)) {
+      Transaction txn = cluster_.primary()->Begin();
+      EXPECT_TRUE(cluster_.primary()
+                      ->Insert(&txn, table_,
+                               Row{Value(id++), Value(int64_t{1}),
+                                   Value(std::string("w"))})
+                      .ok());
+      EXPECT_TRUE(cluster_.primary()->Commit(&txn).ok());
+    }
+  });
+  StandbyDb* standby = cluster_.standby();
+  const Scn start = standby->query_scn();
+  uint64_t pairs = 0;
+  uint64_t trailing = 0;
+  const uint64_t deadline = NowMicros() + 1'000'000;
+  for (; (pairs & 1023) != 0 || NowMicros() < deadline; ++pairs) {
+    const Scn queried = standby->query_scn();
+    const Scn published = standby->published_query_scn();
+    if (published < queried) ++trailing;
+  }
+  stop.store(true, std::memory_order_relaxed);
+  writer.join();
+  EXPECT_EQ(trailing, 0u) << "of " << pairs << " pairs";
+  EXPECT_GT(standby->query_scn(), start);  // Publishes raced the reader.
 }
 
 TEST_F(ClusterTest, ShippedBytesAccounted) {

@@ -123,13 +123,13 @@ TEST_F(FailoverTest, ImcsRebuildsAndMaintainsAfterPromotion) {
 
 TEST_F(FailoverTest, WritesRejectedBeforePromotion) {
   StandbyDb* standby = cluster_.standby();
-  Transaction txn;
-  txn.xid = 1;
-  EXPECT_TRUE(standby
-                  ->Insert(&txn, table_, Row{Value(int64_t{1}), Value(int64_t{1}),
-                                             Value(std::string("no"))})
-                  .code() == Code::kFailedPrecondition);
-  EXPECT_TRUE(standby->Commit(&txn).status().code() == Code::kFailedPrecondition);
+  Transaction txn = standby->Begin();
+  const Row row{Value(int64_t{1}), Value(int64_t{1}), Value(std::string("no"))};
+  EXPECT_EQ(standby->Insert(&txn, table_, row).code(), Code::kFailedPrecondition);
+  EXPECT_EQ(standby->UpdateByKey(&txn, table_, 1, row).code(),
+            Code::kFailedPrecondition);
+  EXPECT_EQ(standby->Commit(&txn).status().code(), Code::kFailedPrecondition);
+  standby->Abort(&txn);
 }
 
 TEST_F(FailoverTest, DoublePromotionRejected) {

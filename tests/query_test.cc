@@ -274,6 +274,30 @@ TEST_F(QueryTest, QueryAtOldSnapshotSeesOldData) {
   EXPECT_EQ(db_.QueryAt(q, before)->count, 0u);
 }
 
+// Version GC runs below the live read SCN and below every running query's
+// snapshot: the version a registered snapshot reads survives a prune.
+TEST_F(QueryTest, PruneVersionsKeepsWhatRunningQueriesRead) {
+  const Scn before = db_.current_scn();
+  Transaction txn = db_.Begin();
+  ASSERT_TRUE(db_.UpdateByKey(&txn, table_, 0,
+                              Row{Value(int64_t{0}), Value(int64_t{777}),
+                                  Value(std::string("new"))})
+                  .ok());
+  ASSERT_TRUE(db_.Commit(&txn).ok());
+
+  ScanQuery q;
+  q.object = table_;
+  q.predicates = {{1, PredOp::kEq, Value(int64_t{0})}};
+  {
+    const QueryContext ctx = db_.MakeQueryContext();
+    SnapshotGuard running(ctx.snapshots, before);
+    EXPECT_EQ(db_.PruneVersions(), 0u);
+    EXPECT_EQ(db_.QueryAt(q, before)->count, 10u);  // Ids 0, 10, ..., 90.
+  }
+  EXPECT_EQ(db_.PruneVersions(), 1u);  // Id 0's pre-update version.
+  EXPECT_EQ(db_.Query(q)->count, 9u);
+}
+
 // Regression: a join's probe-side scan once ran with a null expression
 // registry, so a join predicate on a registered In-Memory Expression virtual
 // column was silently dropped (the probe rows simply had no column at that

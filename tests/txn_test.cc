@@ -152,18 +152,5 @@ TEST_F(TxnTest, SpecializedRedoOffFlagsEverything) {
   EXPECT_TRUE(found);
 }
 
-TEST_F(TxnTest, GcLowWatermarkHonorsActiveSnapshots) {
-  Transaction t1 = mgr_.Begin();
-  ASSERT_TRUE(mgr_.Insert(&t1, &table_, MakeRow(1, 2, "x"), nullptr).ok());
-  StatusOr<Scn> c1 = mgr_.Commit(&t1);
-  ASSERT_TRUE(c1.ok());
-  EXPECT_EQ(mgr_.GcLowWatermark(), *c1);
-  {
-    SnapshotGuard guard(mgr_.snapshots(), *c1 - 1);
-    EXPECT_EQ(mgr_.GcLowWatermark(), *c1 - 1);
-  }
-  EXPECT_EQ(mgr_.GcLowWatermark(), *c1);
-}
-
 }  // namespace
 }  // namespace stratus
