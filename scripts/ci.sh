@@ -59,6 +59,13 @@
 #           STRATUS_FORCE_ROWPATH=1 (every plan on the row path). ASan+UBSan
 #           guard the packed-word tail reads, the shift extraction, and the
 #           unsigned code-translation arithmetic.
+#   benchsan : the benchmark program under ASan+UBSan — configures perfbench/
+#           with the asan stage's flags into its own build directory and runs
+#           `standby_bench --workload <w> --seed 1 --seconds 1 --trace 0` for
+#           every workload, failing on a non-zero exit or a non-zero
+#           `oracle_mismatches`. The program drives every query shape through
+#           the parallel scan and its folds under live apply, the code two
+#           benchmark runs once died in (heap corruption, SIGSEGV).
 #   perfbench : benchmark build + smoke — `python3 perfbench/smoke.py` builds
 #           perfbench/ (its own CMake package over src/, into .bench_build/)
 #           and runs every workload for one second plus one traced run:
@@ -69,7 +76,7 @@
 #           here.
 #
 # Usage: scripts/ci.sh [stage] [build-dir-prefix]
-#   stage: all (default) | plain | tsan | asan | chaos | obs | fleet | persist | simd | perfbench
+#   stage: all (default) | plain | tsan | asan | chaos | obs | fleet | persist | simd | benchsan | perfbench
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -87,6 +94,7 @@ OBS_TESTS="obs_server_test query_profile_test lag_monitor_test"
 FLEET_TESTS="fleet_fanout_test log_shipping_test fleet_router_test consistency_test"
 PERSIST_TESTS="redo_archive_test checkpoint_test persist_recovery_test persist_chaos_test"
 SIMD_TESTS="scan_kernels_test column_vector_test imcu_test scan_engine_test executor_test expression_test consistency_test"
+BENCH_WORKLOADS="scan_quiet htap_churn redo_catchup"
 
 run_plain() {
   echo "==> [plain] build + full test suite"
@@ -227,6 +235,29 @@ run_simd() {
     -j "${JOBS}" -R "^($(echo "${SIMD_TESTS}" | tr ' ' '|'))\$"
 }
 
+run_benchsan() {
+  echo "==> [benchsan] standby_bench under ASan+UBSan (${BENCH_WORKLOADS})"
+  local flags="-fsanitize=address,undefined -fno-sanitize-recover=all -g -O1"
+  local dir="${PREFIX}-benchsan"
+  cmake -S perfbench -B "${dir}" \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS="${flags}" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" >/dev/null
+  cmake --build "${dir}" -j "${JOBS}" --target standby_bench
+  local w out mismatches
+  for w in ${BENCH_WORKLOADS}; do
+    echo "==> [benchsan] ${w}"
+    out="$("${dir}/standby_bench" --workload "${w}" --seed 1 --seconds 1 \
+      --trace 0 | tail -n 1)"
+    mismatches="$(printf '%s' "${out}" | python3 -c \
+      'import json, sys; print(int(json.load(sys.stdin)["oracle_mismatches"]))')"
+    if [[ "${mismatches}" != "0" ]]; then
+      echo "standby_bench ${w}: ${mismatches} oracle mismatches" >&2
+      exit 1
+    fi
+  done
+}
+
 run_perfbench() {
   echo "==> [perfbench] benchmark build + smoke (python3 perfbench/smoke.py)"
   python3 perfbench/smoke.py
@@ -241,6 +272,7 @@ case "${STAGE}" in
   fleet) run_fleet ;;
   persist) run_persist ;;
   simd) run_simd ;;
+  benchsan) run_benchsan ;;
   perfbench) run_perfbench ;;
   all)
     run_plain
@@ -251,10 +283,11 @@ case "${STAGE}" in
     run_fleet
     run_persist
     run_simd
+    run_benchsan
     run_perfbench
     ;;
   *)
-    echo "unknown stage: ${STAGE} (want all|plain|tsan|asan|chaos|obs|fleet|persist|simd|perfbench)" >&2
+    echo "unknown stage: ${STAGE} (want all|plain|tsan|asan|chaos|obs|fleet|persist|simd|benchsan|perfbench)" >&2
     exit 2
     ;;
 esac

@@ -139,6 +139,8 @@ class IntColumnVector final : public ColumnVector {
   }
 
   int64_t min_value() const { return min_; }
+  /// Frame of reference: a non-null row's value is base() + its code.
+  int64_t base() const { return base_; }
   int64_t max_value() const { return max_; }
 
   void SerializeTo(std::string* out) const override;

@@ -16,13 +16,49 @@ namespace stratus {
 
 namespace {
 
+/// A column's packed codes inside one IMCU, read at row ids without
+/// BitPackedArray::Get's per-call width test: every read takes two words,
+/// which the guard word Pack() appends keeps in bounds (a width-0 column
+/// reads a zero pair). `nulls` is null when the IMCU's column holds no NULL,
+/// so a fold tests NULLs only where there are some.
+struct PackedCodes {
+  const uint64_t* words = kZeros;
+  uint64_t mask = 0;
+  unsigned width = 0;
+  const uint64_t* nulls = nullptr;
+
+  static constexpr uint64_t kZeros[2] = {0, 0};
+
+  PackedCodes() = default;
+  explicit PackedCodes(const ColumnVector& col) {
+    const BitPackedArray& codes = col.codes();
+    width = codes.width();
+    if (width != 0) {
+      words = codes.words();
+      mask = width >= 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
+    }
+    const std::vector<uint64_t>& null_words = col.null_words();
+    if (BitmapAny(null_words.data(), null_words.size()))
+      nulls = null_words.data();
+  }
+
+  uint64_t At(uint32_t r) const {
+    const size_t bit = size_t{r} * width;
+    const uint64_t* p = words + (bit >> 6);
+    const unsigned sh = static_cast<unsigned>(bit & 63);
+    return ((p[0] >> sh) | ((p[1] << 1) << (63 - sh))) & mask;
+  }
+  bool Null(uint32_t r) const {
+    return nulls != nullptr && ((nulls[r >> 6] >> (r & 63)) & 1);
+  }
+};
+
 /// One key column's codes inside one IMCU: `null_code` (the column's code
 /// count) stands for NULL, so the column spans null_code + 1 codes. A column
 /// the IMCU lacks has no codes and is NULL on every row.
 struct KeyCodes {
   const ColumnVector* col = nullptr;
-  const BitPackedArray* codes = nullptr;
-  const uint64_t* nulls = nullptr;
+  PackedCodes packed;
   uint64_t null_code = 0;
   uint64_t stride = 1;  ///< Weight in the composite slot index.
 
@@ -31,15 +67,14 @@ struct KeyCodes {
     KeyCodes kc;
     if (column >= imcu.num_columns()) return kc;
     kc.col = &imcu.column(column);
-    kc.codes = &kc.col->codes();
-    kc.nulls = kc.col->null_words().data();
+    kc.packed = PackedCodes(*kc.col);
     kc.null_code = kc.col->num_codes();
     return kc;
   }
 
   uint64_t Code(uint32_t r) const {
-    if (col == nullptr || ((nulls[r >> 6] >> (r & 63)) & 1)) return null_code;
-    return codes->Get(r);
+    if (col == nullptr || packed.Null(r)) return null_code;
+    return packed.At(r);
   }
   /// Row r's key value, decoded (the wide path).
   Value Get(uint32_t r) const { return col != nullptr ? col->Get(r) : Value(); }
@@ -81,6 +116,176 @@ class SlotSpace {
   uint64_t limit_;
   uint64_t slots_ = 1;
   bool narrow_ = true;
+};
+
+/// (hi:lo) += x × n in two's-complement words: the exact sum of n copies of
+/// x. The unsigned 64 × 64 → 128 product comes from 32-bit halves; x < 0
+/// read as unsigned is x + 2^64, so its product is 2^64 × n too high.
+void AddProduct(int64_t x, uint64_t n, uint64_t* lo, uint64_t* hi) {
+  const uint64_t a = static_cast<uint64_t>(x);
+  const uint64_t a0 = a & 0xffffffff, a1 = a >> 32;
+  const uint64_t n0 = n & 0xffffffff, n1 = n >> 32;
+  const uint64_t p00 = a0 * n0, p01 = a0 * n1, p10 = a1 * n0;
+  const uint64_t mid = (p00 >> 32) + (p01 & 0xffffffff) + (p10 & 0xffffffff);
+  const uint64_t plo = (p00 & 0xffffffff) | (mid << 32);
+  uint64_t phi = a1 * n1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
+  if (x < 0) phi -= n;
+  *lo += plo;
+  *hi += phi + (*lo < plo ? 1 : 0);
+}
+
+/// One IMCU's narrow fold, one column at a time. Matched row ids come in
+/// chunks; each chunk's slots are computed one key column at a time, then
+/// every aggregate's packed input codes fold into per-slot accumulators: a
+/// row count, and per input a non-null count plus an exact two-word code sum
+/// (kSum) or the extreme code (kMin/kMax). Codes are offsets from the
+/// column's frame of reference, so a slot's exact input sum is base × its
+/// non-null count + its code sum, formed once per slot by MergeInto.
+class SlotFold {
+ public:
+  /// `inputs[i]`: aggregate i's packed int column, null when it only counts.
+  SlotFold(const std::vector<AggSpec>& specs,
+           const std::vector<const IntColumnVector*>& inputs, uint64_t slots)
+      : specs_(specs), rows_(slots, 0), input_of_(specs.size(), kNone) {
+    for (size_t i = 0; i < specs.size(); ++i) {
+      if (inputs[i] == nullptr) continue;
+      input_of_[i] = inputs_.size();
+      Input& in = inputs_.emplace_back(specs[i].kind, *inputs[i]);
+      if (in.codes.nulls != nullptr) in.non_null.assign(slots, 0);
+      in.lo.assign(slots, in.kind == AggKind::kMin ? ~uint64_t{0} : 0);
+      if (in.kind == AggKind::kSum) in.hi.assign(slots, 0);
+    }
+  }
+
+  /// Folds the `matched` rows set in `match` (`words` words), whose slots
+  /// `keys` index.
+  void Fold(const std::vector<KeyCodes>& keys, const uint64_t* match,
+            size_t words, uint64_t matched) {
+    if (rows_.size() == 1 && inputs_.empty()) {
+      rows_[0] = matched;  // COUNT alone, no key: the popcount.
+      return;
+    }
+    uint32_t ids[kChunk];
+    size_t n = 0;
+    ForEachSetBit(match, words, [&](uint32_t r) {
+      ids[n++] = r;
+      if (n == kChunk) {
+        FoldChunk(keys, ids, n);
+        n = 0;
+      }
+    });
+    if (n != 0) FoldChunk(keys, ids, n);
+  }
+
+  uint64_t Rows(uint64_t slot) const { return rows_[slot]; }
+
+  /// Merges aggregate `i`'s accumulators of `slot` into `state`.
+  void MergeInto(size_t i, uint64_t slot, AggState* state) const {
+    const AggKind kind = specs_[i].kind;
+    const uint64_t rows = rows_[slot];
+    if (input_of_[i] == kNone) {
+      state->MergeExact(kind, rows, false, 0, 0);
+      return;
+    }
+    const Input& in = inputs_[input_of_[i]];
+    // Without NULLs in the column a slot's non-null count is its row count.
+    const uint64_t non_null = in.non_null.empty() ? rows : in.non_null[slot];
+    if (kind != AggKind::kSum) {
+      state->MergeExact(kind, rows, non_null != 0,
+                        static_cast<uint64_t>(in.base) + in.lo[slot], 0);
+      return;
+    }
+    uint64_t lo = in.lo[slot], hi = in.hi[slot];
+    AddProduct(in.base, non_null, &lo, &hi);
+    state->MergeExact(kind, rows, non_null != 0, lo, hi);
+  }
+
+ private:
+  static constexpr size_t kChunk = 512;
+  static constexpr size_t kNone = SIZE_MAX;
+
+  /// One aggregate input's packed codes and per-slot accumulators.
+  struct Input {
+    Input(AggKind k, const IntColumnVector& col)
+        : kind(k), base(col.base()), codes(col) {}
+
+    AggKind kind;
+    int64_t base;
+    PackedCodes codes;
+    std::vector<uint64_t> non_null;  ///< Empty when the column has no NULL.
+    std::vector<uint64_t> lo;  ///< Code sum's low word, or the extreme code.
+    std::vector<uint64_t> hi;  ///< Code sum's high word (kSum only).
+  };
+
+  void FoldChunk(const std::vector<KeyCodes>& keys, const uint32_t* ids,
+                 size_t n) {
+    uint32_t slot[kChunk];
+    std::fill_n(slot, n, 0);
+    for (const KeyCodes& kc : keys) {
+      if (kc.col == nullptr) continue;  // NULL, code 0, on every row.
+      const PackedCodes& codes = kc.packed;
+      const uint32_t stride = static_cast<uint32_t>(kc.stride);
+      if (codes.nulls == nullptr) {
+        for (size_t j = 0; j < n; ++j)
+          slot[j] += static_cast<uint32_t>(codes.At(ids[j])) * stride;
+        continue;
+      }
+      for (size_t j = 0; j < n; ++j) {
+        const uint32_t r = ids[j];
+        const uint64_t code = codes.Null(r) ? kc.null_code : codes.At(r);
+        slot[j] += static_cast<uint32_t>(code) * stride;
+      }
+    }
+    if (rows_.size() == 1) {
+      rows_[0] += n;
+    } else {
+      for (size_t j = 0; j < n; ++j) ++rows_[slot[j]];
+    }
+    for (Input& in : inputs_) {
+      uint64_t* lo = in.lo.data();
+      uint64_t* hi = in.hi.data();
+      const auto each = [&](const auto& fold_code) {
+        if (in.non_null.empty()) {
+          for (size_t j = 0; j < n; ++j)
+            fold_code(slot[j], in.codes.At(ids[j]));
+          return;
+        }
+        for (size_t j = 0; j < n; ++j) {
+          const uint32_t r = ids[j];
+          if (in.codes.Null(r)) continue;
+          ++in.non_null[slot[j]];
+          fold_code(slot[j], in.codes.At(r));
+        }
+      };
+      switch (in.kind) {
+        case AggKind::kSum:
+          // An IMCU holds at most 2^32 rows (32-bit row ids), so codes of at
+          // most 32 bits sum below 2^64 in one word: no carry to track.
+          if (in.codes.width <= 32) {
+            each([lo](uint32_t s, uint64_t c) { lo[s] += c; });
+          } else {
+            each([lo, hi](uint32_t s, uint64_t c) {
+              lo[s] += c;
+              hi[s] += lo[s] < c ? 1 : 0;
+            });
+          }
+          break;
+        case AggKind::kMin:
+          each([lo](uint32_t s, uint64_t c) { lo[s] = std::min(lo[s], c); });
+          break;
+        case AggKind::kMax:
+          each([lo](uint32_t s, uint64_t c) { lo[s] = std::max(lo[s], c); });
+          break;
+        default:
+          break;
+      }
+    }
+  }
+
+  const std::vector<AggSpec>& specs_;
+  std::vector<uint64_t> rows_;    ///< Per slot.
+  std::vector<size_t> input_of_;  ///< Per aggregate: its input, or kNone.
+  std::vector<Input> inputs_;
 };
 
 /// The packed int column `imcu` holds at `column` (SUM/MIN/MAX inputs and
@@ -387,36 +592,13 @@ uint64_t GroupFold::FoldImcu(const Imcu& imcu, const uint64_t* match) {
   level_rows_[0] += matched;
   const size_t nspecs = specs_.size();
 
-  // SUM/MIN/MAX read GetInt off a packed int column the IMCU holds; any
+  // SUM/MIN/MAX read the codes of a packed int column the IMCU holds; any
   // other input only counts.
   std::vector<const IntColumnVector*> inputs(nspecs);
   for (size_t i = 0; i < nspecs; ++i) {
     if (specs_[i].kind != AggKind::kCount)
       inputs[i] = IntColumn(imcu, specs_[i].column);
   }
-
-  if (group_by_.empty()) {
-    // Zero keys: one group, and COUNT is the popcount.
-    std::vector<AggState>& states = Group(key_);
-    for (size_t i = 0; i < nspecs; ++i) {
-      states[i].count += matched;
-      const IntColumnVector* in = inputs[i];
-      if (in == nullptr) continue;
-      ForEachSetBit(match, words, [&](uint32_t r) {
-        if (!in->IsNull(r)) states[i].Fold(specs_[i].kind, in->GetInt(r));
-      });
-    }
-    return matched;
-  }
-
-  const auto fold_inputs = [&](AggState* states, uint32_t r) {
-    for (size_t i = 0; i < nspecs; ++i) {
-      ++states[i].count;
-      const IntColumnVector* in = inputs[i];
-      if (in != nullptr && !in->IsNull(r))
-        states[i].Fold(specs_[i].kind, in->GetInt(r));
-    }
-  };
 
   SlotSpace space(matched);
   std::vector<KeyCodes> keys;
@@ -431,20 +613,28 @@ uint64_t GroupFold::FoldImcu(const Imcu& imcu, const uint64_t* match) {
     key_.resize(keys.size());
     ForEachSetBit(match, words, [&](uint32_t r) {
       for (size_t k = 0; k < keys.size(); ++k) key_[k] = keys[k].Get(r);
-      fold_inputs(Group(key_).data(), r);
+      AggState* states = Group(key_).data();
+      for (size_t i = 0; i < nspecs; ++i) {
+        ++states[i].count;
+        const IntColumnVector* in = inputs[i];
+        if (in != nullptr && !in->IsNull(r))
+          states[i].Fold(specs_[i].kind, in->GetInt(r));
+      }
     });
     return matched;
   }
 
-  std::vector<AggState> acc(space.slots() * nspecs);
-  ForEachSetBit(match, words, [&](uint32_t r) {
-    uint64_t slot = 0;
-    for (const KeyCodes& kc : keys) slot += kc.Code(r) * kc.stride;
-    fold_inputs(&acc[slot * nspecs], r);
-  });
-  MergeSlots(acc, [&](uint64_t slot) {
+  // Narrow key (no key is its one-slot instance): fold column at a time,
+  // then decode each touched slot's key once and merge its accumulators.
+  SlotFold fold(specs_, inputs, space.slots());
+  fold.Fold(keys, match, words, matched);
+  for (uint64_t slot = 0; slot < space.slots(); ++slot) {
+    if (fold.Rows(slot) == 0) continue;
+    key_.clear();
     for (const KeyCodes& kc : keys) key_.push_back(kc.DecodeSlot(slot));
-  });
+    std::vector<AggState>& group = Group(key_);
+    for (size_t i = 0; i < nspecs; ++i) fold.MergeInto(i, slot, &group[i]);
+  }
   return matched;
 }
 

@@ -41,16 +41,41 @@ struct AggState {
   bool started = false;   ///< A non-null integer input reached the fold.
   bool overflow = false;  ///< kSum only: exact sum left the int64 range.
 
+  /// Folds one non-null int input (its row is counted by the caller).
   void Fold(AggKind kind, int64_t x) {
+    MergeExact(kind, 0, true, static_cast<uint64_t>(x),
+               x < 0 ? ~uint64_t{0} : 0);
+  }
+
+  /// Folds another partial in. COUNT/MIN/MAX are associative and commutative,
+  /// and kSum merges the exact 128-bit partial sums, so merging partials in
+  /// any order reproduces the serial result exactly.
+  void Merge(AggKind kind, const AggState& other) {
+    MergeExact(kind, other.count, other.started,
+               kind == AggKind::kSum ? other.sum_lo_
+                                     : static_cast<uint64_t>(other.acc),
+               other.sum_hi_);
+  }
+
+  /// Folds in an exact partial accumulated outside an AggState: `rows` more
+  /// matching rows, some with a non-null int input iff `any_input`; for kSum
+  /// those inputs' exact sum as the two's-complement words (hi:lo), for
+  /// kMin/kMax their extreme as `lo`. Every fold ends here, so the
+  /// saturation rule lives in one place.
+  void MergeExact(AggKind kind, uint64_t rows, bool any_input, uint64_t lo,
+                  uint64_t hi) {
+    count += rows;
+    if (!any_input) return;
     if (kind == AggKind::kSum) {
-      sum_hi_ += x < 0 ? -1 : 0;
-      const uint64_t lo = sum_lo_ + static_cast<uint64_t>(x);
-      sum_hi_ += lo < sum_lo_ ? 1 : 0;  // Carry out of the low word.
-      sum_lo_ = lo;
+      sum_hi_ += hi;
+      const uint64_t sum = sum_lo_ + lo;
+      sum_hi_ += sum < sum_lo_ ? 1 : 0;  // Carry out of the low word.
+      sum_lo_ = sum;
       started = true;
       ProjectSum();
       return;
     }
+    const int64_t x = static_cast<int64_t>(lo);
     if (!started) {
       acc = x;
       started = true;
@@ -58,31 +83,6 @@ struct AggState {
       acc = acc < x ? acc : x;
     } else if (kind == AggKind::kMax) {
       acc = acc < x ? x : acc;
-    }
-  }
-
-  /// Folds another partial in. COUNT/MIN/MAX are associative and commutative,
-  /// and kSum merges the exact 128-bit partial sums, so merging in
-  /// deterministic task order reproduces the serial result exactly.
-  void Merge(AggKind kind, const AggState& other) {
-    count += other.count;
-    if (!other.started) return;
-    if (kind == AggKind::kSum) {
-      sum_hi_ += other.sum_hi_;
-      const uint64_t lo = sum_lo_ + other.sum_lo_;
-      sum_hi_ += lo < sum_lo_ ? 1 : 0;
-      sum_lo_ = lo;
-      started = true;
-      ProjectSum();
-      return;
-    }
-    if (!started) {
-      acc = other.acc;
-      started = true;
-    } else if (kind == AggKind::kMin) {
-      acc = acc < other.acc ? acc : other.acc;
-    } else if (kind == AggKind::kMax) {
-      acc = acc < other.acc ? other.acc : acc;
     }
   }
 
@@ -138,8 +138,8 @@ class GroupFold {
   /// `specs` must be non-empty (a group with no aggregate folds nothing).
   GroupFold(std::vector<uint32_t> group_by, std::vector<AggSpec> specs);
 
-  /// An empty fold over the same keys, aggregates and join chain (a task's
-  /// partial).
+  /// An empty fold over the same keys, aggregates and join chain (a scan
+  /// lane's partial).
   GroupFold Partial() const;
 
   /// Joins every input row to `table`'s rows: input column `probe_column`
@@ -155,7 +155,8 @@ class GroupFold {
   /// Folds the rows of `imcu` set in `match` (BitmapWords(num_rows) words)
   /// on their encoded codes, through the join chain if any; returns how many
   /// input rows that was. Codes are per IMCU, so each touched group's key
-  /// decodes once per call.
+  /// decodes once per call. A narrow key (and no key) folds one column at a
+  /// time into per-slot accumulators; a wide key folds row by row.
   uint64_t FoldImcu(const Imcu& imcu, const uint64_t* match);
 
   /// Folds a partial built over a disjoint input into this one.

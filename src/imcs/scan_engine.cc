@@ -1,9 +1,8 @@
 #include "imcs/scan_engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/clock.h"
@@ -248,12 +247,30 @@ Status ScanEngine::Scan(const Table& table, const std::vector<Predicate>& preds,
     fold = &*pushdown;
   }
   const std::vector<Dba> blocks = table.SnapshotBlocks();
+  const size_t num_blocks = blocks.size();
+
+  // Block positions resolve through the snapshot's (DBA, position) pairs,
+  // sorted once and binary-searched per SMU DBA, and coverage is a bitmap
+  // over positions: the set-up builds no per-block hash node.
+  std::vector<std::pair<Dba, size_t>> by_dba(num_blocks);
+  for (size_t i = 0; i < num_blocks; ++i) by_dba[i] = {blocks[i], i};
+  std::sort(by_dba.begin(), by_dba.end());
+  const auto positions = [&by_dba](Dba dba) {
+    return std::equal_range(
+        by_dba.begin(), by_dba.end(), std::pair<Dba, size_t>{dba, 0},
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+  };
+  std::vector<bool> covered(num_blocks, false);
 
   // Gather the usable SMUs covering this table across the given stores.
   // "Usable" = ready, with a snapshot no newer than the read view (an IMCU
-  // populated beyond the query snapshot would contain future changes).
+  // populated beyond the query snapshot would contain future changes). Each
+  // is anchored at its first covered position; one none of whose DBAs is
+  // listed sorts last.
   std::vector<std::shared_ptr<Smu>> usable;
-  std::unordered_set<Dba> covered;
+  std::vector<const Smu*> anchored(num_blocks, nullptr);
+  std::vector<const Smu*> unanchored;
+  std::vector<Dba> unlisted;  // Accepted SMUs' DBAs missing from the list.
   for (const ImStore* store : stores) {
     if (store == nullptr) continue;
     for (const auto& smu : store->SmusForObject(table.object_id())) {
@@ -286,13 +303,30 @@ Status ScanEngine::Scan(const Table& table, const std::vector<Predicate>& preds,
       }
       bool duplicate = false;
       for (Dba dba : smu->dbas()) {
-        if (covered.contains(dba)) {
-          duplicate = true;
-          break;
+        const auto [first, last] = positions(dba);
+        if (first == last) {
+          duplicate = std::find(unlisted.begin(), unlisted.end(), dba) !=
+                      unlisted.end();
         }
+        for (auto it = first; it != last && !duplicate; ++it)
+          duplicate = covered[it->second];
+        if (duplicate) break;
       }
       if (duplicate) continue;  // Defensive: ranges should be disjoint.
-      for (Dba dba : smu->dbas()) covered.insert(dba);
+      size_t anchor = num_blocks;
+      for (Dba dba : smu->dbas()) {
+        const auto [first, last] = positions(dba);
+        if (first == last) unlisted.push_back(dba);
+        for (auto it = first; it != last; ++it) {
+          covered[it->second] = true;
+          anchor = std::min(anchor, it->second);
+        }
+      }
+      if (anchor < num_blocks) {
+        anchored[anchor] = smu.get();
+      } else {
+        unanchored.push_back(smu.get());
+      }
       usable.push_back(smu);
     }
   }
@@ -309,49 +343,20 @@ Status ScanEngine::Scan(const Table& table, const std::vector<Predicate>& preds,
     std::vector<Dba> chunk_blocks;   ///< …row-path chunk otherwise.
   };
   std::vector<Task> tasks;
-  {
-    std::unordered_map<Dba, size_t> pos;
-    pos.reserve(blocks.size());
-    for (size_t i = 0; i < blocks.size(); ++i) pos.emplace(blocks[i], i);
-    // Events on the block-position axis: each uncovered block, and each
-    // usable SMU anchored at its first covered position.
-    struct Event {
-      size_t position;
-      const Smu* smu;  ///< Null for an uncovered block.
-      Dba dba;
-    };
-    std::vector<Event> events;
-    events.reserve(blocks.size());
-    for (size_t i = 0; i < blocks.size(); ++i) {
-      if (!covered.contains(blocks[i]))
-        events.push_back(Event{i, nullptr, blocks[i]});
+  const size_t chunk = std::max<size_t>(1, options.rowpath_chunk_blocks);
+  for (size_t i = 0; i < num_blocks; ++i) {
+    if (anchored[i] != nullptr) {
+      tasks.push_back(Task{anchored[i], {}});
+      continue;
     }
-    for (const auto& smu : usable) {
-      size_t key = blocks.size();  // Defensive: unknown blocks sort last.
-      for (Dba dba : smu->dbas()) {
-        auto it = pos.find(dba);
-        if (it != pos.end()) key = std::min(key, it->second);
-      }
-      events.push_back(Event{key, smu.get(), kInvalidDba});
+    if (covered[i]) continue;
+    if (tasks.empty() || tasks.back().smu != nullptr ||
+        tasks.back().chunk_blocks.size() >= chunk) {
+      tasks.push_back(Task{nullptr, {}});
     }
-    std::sort(events.begin(), events.end(),
-              [](const Event& a, const Event& b) {
-                if (a.position != b.position) return a.position < b.position;
-                return (a.smu != nullptr) > (b.smu != nullptr);
-              });
-    const size_t chunk = std::max<size_t>(1, options.rowpath_chunk_blocks);
-    for (const Event& e : events) {
-      if (e.smu != nullptr) {
-        tasks.push_back(Task{e.smu, {}});
-        continue;
-      }
-      if (tasks.empty() || tasks.back().smu != nullptr ||
-          tasks.back().chunk_blocks.size() >= chunk) {
-        tasks.push_back(Task{nullptr, {}});
-      }
-      tasks.back().chunk_blocks.push_back(e.dba);
-    }
+    tasks.back().chunk_blocks.push_back(blocks[i]);
   }
+  for (const Smu* smu : unanchored) tasks.push_back(Task{smu, {}});
   stats->parallel_tasks += tasks.size();
   const size_t num_tasks = tasks.size();
 
@@ -422,30 +427,56 @@ Status ScanEngine::Scan(const Table& table, const std::vector<Predicate>& preds,
     return Status::OK();
   }
 
-  // Parallel path: every worker accumulates into private partials; the
-  // calling thread merges them in task order after the barrier, reproducing
-  // the inline path's output exactly.
+  ThreadPool* pool =
+      options.pool != nullptr ? options.pool : ThreadPool::Shared();
+  if (fold != nullptr) {
+    // Folded parallel path: one partial per lane, not per task. Each of
+    // `lanes` executors owns one GroupFold partial and one ScanStats and
+    // claims tasks from a shared cursor; the caller merges the lanes in lane
+    // order. Every fold is order-independent (SUM is an exact 128-bit sum),
+    // so which lane folds which task does not change the result.
+    const size_t lanes = std::min(dop, num_tasks);
+    std::vector<GroupFold> partials;
+    partials.reserve(lanes);
+    for (size_t l = 0; l < lanes; ++l) partials.push_back(fold->Partial());
+    std::vector<ScanStats> lane_stats(lanes);
+    std::atomic<size_t> cursor{0};
+    const RowEmit no_rows = [](Row&&) {};
+    pool->ParallelFor(lanes, lanes, [&](size_t l) {
+      for (size_t t = cursor.fetch_add(1, std::memory_order_relaxed);
+           t < num_tasks; t = cursor.fetch_add(1, std::memory_order_relaxed)) {
+        const uint64_t start_us = profile != nullptr ? NowMicros() : 0;
+        run_task(t, no_rows, &lane_stats[l], &partials[l]);
+        if (profile != nullptr) record_task(t, start_us);
+      }
+    });
+    for (size_t l = 0; l < lanes; ++l) {
+      stats->Add(lane_stats[l]);
+      fold->Merge(std::move(partials[l]));
+    }
+    finish();
+    return Status::OK();
+  }
+
+  // Row-emitting parallel path: every task fills a private buffer and
+  // ScanStats; the calling thread merges them in task order after the
+  // barrier, reproducing the inline path's output exactly.
   struct TaskOut {
     ScanStats stats;
-    std::optional<GroupFold> fold;
     std::vector<Row> rows;
   };
   std::vector<TaskOut> outs(num_tasks);
-  ThreadPool* pool =
-      options.pool != nullptr ? options.pool : ThreadPool::Shared();
   pool->ParallelFor(num_tasks, dop, [&](size_t t) {
     TaskOut& out = outs[t];
     const uint64_t start_us = profile != nullptr ? NowMicros() : 0;
-    if (fold != nullptr) out.fold.emplace(fold->Partial());
     run_task(
         t, [&out](Row&& row) { out.rows.push_back(std::move(row)); },
-        &out.stats, out.fold.has_value() ? &*out.fold : nullptr);
+        &out.stats, nullptr);
     if (profile != nullptr) record_task(t, start_us);
   });
 
   for (TaskOut& out : outs) {
     stats->Add(out.stats);
-    if (out.fold.has_value()) fold->Merge(std::move(*out.fold));
     if (options.batch_sink) {
       // Batch consumers take the whole task buffer by move — the merge
       // boundary costs nothing per row.

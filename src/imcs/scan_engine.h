@@ -127,8 +127,9 @@ struct ScanOptions {
   /// Grouped-aggregate consumer: when set, every match folds into it instead
   /// of reaching a sink — IMCS rows on their encoded codes inside the scan
   /// task, row-store rows (uncovered blocks, reconciled invalid rows) as
-  /// materialized rows. Each task folds into its own partial; partials merge
-  /// into `fold` on the calling thread in task order.
+  /// materialized rows. At DOP > 1 each of min(dop, tasks) lanes folds the
+  /// tasks it claims into its own partial; the lanes' partials merge into
+  /// `fold` on the calling thread in lane order.
   GroupFold* fold = nullptr;
 };
 
@@ -142,11 +143,13 @@ struct ScanOptions {
 /// that IMCU's invalid-row reconciliation, sharing one invalidity snapshot)
 /// and one task per chunk of uncovered row-store blocks, ordered by block
 /// position in the table's block list. Tasks run on a ThreadPool at
-/// `options.dop`, each accumulating into private ScanStats / row buffer /
-/// partial GroupFold; partials are merged on the calling thread in task
-/// order after the barrier. Each task emits in ascending (block, slot)
-/// order, so the merged output is the table's global (block, slot) order —
-/// reproducible at any DOP and independent of which path serves a row.
+/// `options.dop`: a row-emitting task fills a private ScanStats and row
+/// buffer, merged on the calling thread in task order after the barrier; a
+/// folded scan runs one lane per executor, each folding the tasks it claims
+/// into one partial GroupFold and ScanStats, merged in lane order. Each task
+/// emits in ascending (block, slot) order, so the merged output is the
+/// table's global (block, slot) order — reproducible at any DOP and
+/// independent of which path serves a row.
 class ScanEngine {
  public:
   /// Scans `table` at `view`, consulting the column stores in `stores`

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "imcs/column_vector.h"
 
@@ -191,6 +192,73 @@ uint64_t BlockMatch64(unsigned w, const uint64_t* words, size_t row0,
   }
 }
 
+/// Match bit of field I in a full 64-row group of width W starting at `p`:
+/// the field's word index and shift are compile-time constants, so the
+/// extraction is one shift and mask, plus a second word only where the field
+/// straddles one.
+template <unsigned W, size_t I>
+inline uint64_t FieldMatch64(const uint64_t* p, uint64_t lo, uint64_t span) {
+  constexpr size_t kBit = I * W;
+  constexpr unsigned kShift = kBit % 64;
+  constexpr uint64_t kMask = (uint64_t{1} << W) - 1;
+  uint64_t v = p[kBit / 64] >> kShift;
+  if constexpr (kShift + W > 64) v |= p[kBit / 64 + 1] << (64 - kShift);
+  return static_cast<uint64_t>(((v & kMask) - lo) <= span) << I;
+}
+
+template <unsigned W, size_t... I>
+void SwarFilterUnalignedT(const uint64_t* words, size_t full_groups,
+                          uint64_t lo, uint64_t span, uint64_t* out,
+                          std::index_sequence<I...>) {
+  for (size_t g = 0; g < full_groups; ++g) {
+    const uint64_t* p = words + g * W;  // A 64-row group is exactly W words.
+    out[g] = (FieldMatch64<W, I>(p, lo, span) | ...);
+  }
+}
+
+/// Full 64-row groups of a width below 32 that does not divide 64: one
+/// kernel per width, with all 64 extractions at constant word indexes and
+/// shifts, so no field offset is computed at run time.
+void SwarFilterUnaligned(unsigned w, const uint64_t* words, size_t full_groups,
+                         uint64_t lo, uint64_t span, uint64_t* out) {
+  switch (w) {
+#define STRATUS_UNALIGNED_CASE(W)                                      \
+  case W:                                                              \
+    return SwarFilterUnalignedT<W>(words, full_groups, lo, span, out, \
+                                   std::make_index_sequence<64>{});
+    STRATUS_UNALIGNED_CASE(3)
+    STRATUS_UNALIGNED_CASE(5)
+    STRATUS_UNALIGNED_CASE(6)
+    STRATUS_UNALIGNED_CASE(7)
+    STRATUS_UNALIGNED_CASE(9)
+    STRATUS_UNALIGNED_CASE(10)
+    STRATUS_UNALIGNED_CASE(11)
+    STRATUS_UNALIGNED_CASE(12)
+    STRATUS_UNALIGNED_CASE(13)
+    STRATUS_UNALIGNED_CASE(14)
+    STRATUS_UNALIGNED_CASE(15)
+    STRATUS_UNALIGNED_CASE(17)
+    STRATUS_UNALIGNED_CASE(18)
+    STRATUS_UNALIGNED_CASE(19)
+    STRATUS_UNALIGNED_CASE(20)
+    STRATUS_UNALIGNED_CASE(21)
+    STRATUS_UNALIGNED_CASE(22)
+    STRATUS_UNALIGNED_CASE(23)
+    STRATUS_UNALIGNED_CASE(24)
+    STRATUS_UNALIGNED_CASE(25)
+    STRATUS_UNALIGNED_CASE(26)
+    STRATUS_UNALIGNED_CASE(27)
+    STRATUS_UNALIGNED_CASE(28)
+    STRATUS_UNALIGNED_CASE(29)
+    STRATUS_UNALIGNED_CASE(30)
+    STRATUS_UNALIGNED_CASE(31)
+#undef STRATUS_UNALIGNED_CASE
+    default:
+      for (size_t g = 0; g < full_groups; ++g)
+        out[g] = BlockMatch64(w, words, g * 64, 64, lo, span);
+  }
+}
+
 /// Extracts bits at even positions into the low 32 bits.
 inline uint64_t CompactEven(uint64_t x) {
   x &= 0x5555555555555555ull;
@@ -274,6 +342,8 @@ void SwarFilter(const BitPackedArray& packed, size_t n, uint64_t lo,
     SwarFilterWidth1(words, full, lo, hi, out);
   } else if (w <= 32 && 64 % w == 0) {
     SwarFilterAligned(words, full, w, lo, hi, out);
+  } else if (w < 32) {
+    SwarFilterUnaligned(w, words, full, lo, span, out);
   } else {
     for (size_t g = 0; g < full; ++g) {
       out[g] = BlockMatch64(w, words, g * 64, 64, lo, span);

@@ -15,8 +15,10 @@ class BitPackedArray;
 ///             kept as the baseline and the forced fallback.
 ///   kSwar   : portable 64-bit SWAR. Widths dividing 64 compare a whole
 ///             packed word of fields at once (Lamport's parallel unsigned
-///             compare); other widths run an unrolled 64-row block kernel
-///             with branchless range checks.
+///             compare); other widths below 32 run a per-width 64-row group
+///             kernel whose field extractions use constant word indexes and
+///             shifts, and wider ones (and every tail group) a guarded
+///             block kernel, all with branchless range checks.
 ///   kAvx2   : 256-bit specialization of the SWAR compare for byte-friendly
 ///             widths (4/8/16/32); other widths fall back to kSwar. Only
 ///             reachable on x86-64 builds whose CPU reports AVX2.

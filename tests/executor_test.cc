@@ -26,6 +26,64 @@
 namespace stratus {
 namespace {
 
+/// a + b modulo 2^64 (no signed overflow).
+int64_t Wrapped(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+
+/// Hand fold of `rows` under the row semantics every fold path must keep: a
+/// key column past the row's arity is NULL, COUNT counts every row, and
+/// SUM/MIN/MAX skip NULL and non-int inputs (NULL when nothing folded).
+/// SUM adds modulo 2^64, so it is exact for every group whose total fits
+/// int64 however far its running sum strays. Output is key ++ aggregates per
+/// group, sorted by key tuple.
+std::vector<Row> OracleFold(const std::vector<Row>& rows,
+                            const std::vector<uint32_t>& group_by,
+                            const std::vector<AggSpec>& specs) {
+  struct Acc {
+    int64_t count = 0, value = 0;
+    bool started = false;
+  };
+  std::map<Row, std::vector<Acc>> groups;
+  for (const Row& row : rows) {
+    Row key;
+    for (uint32_t g : group_by)
+      key.push_back(g < row.size() ? row[g] : Value());
+    std::vector<Acc>& accs = groups[key];
+    accs.resize(specs.size());
+    for (size_t i = 0; i < specs.size(); ++i) {
+      Acc& a = accs[i];
+      ++a.count;
+      const uint32_t c = specs[i].column;
+      if (specs[i].kind == AggKind::kCount || c >= row.size() ||
+          row[c].type() != ValueType::kInt)
+        continue;
+      const int64_t v = row[c].as_int();
+      a.value = !a.started                       ? v
+                : specs[i].kind == AggKind::kSum ? Wrapped(a.value, v)
+                : specs[i].kind == AggKind::kMin ? std::min(a.value, v)
+                                                 : std::max(a.value, v);
+      a.started = true;
+    }
+  }
+  if (group_by.empty() && groups.empty()) groups[Row{}].resize(specs.size());
+  std::vector<Row> out;
+  for (const auto& [key, accs] : groups) {
+    Row row = key;
+    for (size_t i = 0; i < specs.size(); ++i) {
+      const Acc& a = accs[i];
+      if (specs[i].kind == AggKind::kCount) {
+        row.push_back(Value(a.count));
+      } else {
+        row.push_back(a.started ? Value(a.value) : Value());
+      }
+    }
+    out.push_back(std::move(row));
+  }
+  return out;
+}
+
 /// Primary-only fixture: WideTable(2, 1) — id, n1, n2, c1 — with 200 rows,
 /// n1 = id % 10, n2 = id % 7, c1 = "g<id % 4>". The population manager never
 /// starts: PopulateNow builds IMCUs synchronously, so no background pass can
@@ -175,90 +233,113 @@ TEST_F(ExecutorTest, GroupByRequiresAggregates) {
 // The grouped-aggregation oracle property: random group keys and aggregate
 // inputs (both with NULLs), folded by hand over the row-store rows, must
 // match the hash-aggregate operator exactly — at every DOP, on both access
-// paths, under every kernel.
+// paths, under every kernel. The table spans nine IMCUs, so at DOP 2 and 3
+// every lane folds several: n1's frame of reference moves with each IMCU and
+// c1's dictionary with each pair of IMCUs, so one code is another key
+// elsewhere. n3 pairs rows across IMCUs 2p and 2p + 1 (ids 2q and 2q + 1 in
+// the ninth, which spans the whole int64 range): each even IMCU's n3 sums
+// past INT64_MAX and each odd one's past INT64_MIN, so partials leave the
+// int64 range in both directions while every group's total fits. Rows
+// updated after population reconcile from the row store inside the lanes.
 TEST_F(ExecutorTest, GroupedAggMatchesRowOracleWithNulls) {
   struct OverrideGuard {
     ~OverrideGuard() { ClearScanKernelOverride(); }
   } guard;
   const ObjectId rnd =
-      db_.CreateTable("rnd", kDefaultTenant, Schema::WideTable(2, 1),
+      db_.CreateTable("rnd", kDefaultTenant, Schema::WideTable(3, 1),
                       ImService::kPrimaryOnly, true)
           .value();
+  const int64_t imcu_rows =
+      int64_t{DatabaseOptions().population.blocks_per_imcu} * kRowsPerBlock;
+  const int64_t num_rows = 8 * imcu_rows + imcu_rows / 2;
   Random rng(2024);
+  std::vector<Row> loaded;
   Transaction txn = db_.Begin();
-  for (int64_t id = 0; id < 400; ++id) {
+  for (int64_t id = 0; id < num_rows; ++id) {
+    const int64_t imcu = id / imcu_rows;
+    const bool last = imcu == 8;
+    // Paired rows share j, hence c1, n3's NULLs and its magnitude.
+    const int64_t j = last ? id % imcu_rows / 2 : id % imcu_rows;
     const Value key = rng.Percent(15)
                           ? Value()
-                          : Value(static_cast<int64_t>(rng.Uniform(8)));
+                          : Value(imcu + static_cast<int64_t>(rng.Uniform(8)));
     const Value v = rng.Percent(10) ? Value() : Value(rng.UniformInt(-50, 50));
-    Row row{Value(id), key, v,
-            Value(std::string("s") + std::to_string(rng.Uniform(3)))};
-    ASSERT_TRUE(db_.Insert(&txn, rnd, std::move(row), nullptr).ok());
+    const int64_t magnitude = (int64_t{1} << 61) + j * 7919;
+    Value big;
+    if (j % 17 != 0 && last) {
+      big = Value(id % 2 == 0 ? std::numeric_limits<int64_t>::max() - j
+                              : std::numeric_limits<int64_t>::min() + 1 + j);
+    } else if (j % 17 != 0) {
+      big = Value(imcu % 2 == 0 ? magnitude : j % 23 - 11 - magnitude);
+    }
+    const Value label = j % 13 == 0 ? Value()
+                                    : Value("p" + std::to_string(imcu / 2) +
+                                            "_" + std::to_string(j % 3));
+    loaded.push_back(Row{Value(id), key, v, big, label});
+    ASSERT_TRUE(db_.Insert(&txn, rnd, loaded.back(), nullptr).ok());
   }
   ASSERT_TRUE(db_.Commit(&txn).ok());
   ASSERT_TRUE(db_.PopulateNow(rnd).ok());
+  ASSERT_GE(db_.im_store()->SmusForObject(rnd).size(), 8u);
+  // n1 and n2 move; c1 and n3 stay, so the pairs still cancel.
+  Transaction update = db_.Begin();
+  for (int64_t id = 5; id < num_rows; id += 97) {
+    Row row = loaded[static_cast<size_t>(id)];
+    row[1] = id % 3 == 0 ? Value() : Value(int64_t{-7});
+    row[2] = Value(1000 + id % 5);
+    ASSERT_TRUE(db_.UpdateByKey(&update, rnd, id, std::move(row)).ok());
+  }
+  ASSERT_TRUE(db_.Commit(&update).ok());
 
-  ScanQuery q;
-  q.object = rnd;
-  q.group_by = {1};
-  q.aggregates = {{AggKind::kCount, 0},
-                  {AggKind::kSum, 2},
-                  {AggKind::kMin, 2},
-                  {AggKind::kMax, 2}};
-
-  // Oracle: fold the raw rows by hand (COUNT counts every row of the group;
-  // SUM/MIN/MAX skip NULL inputs and are NULL when nothing folded).
   ScanQuery raw;
   raw.object = rnd;
   raw.force_row_store = true;
   const auto all = db_.Query(raw);
   ASSERT_TRUE(all.ok());
-  struct OracleAgg {
-    int64_t count = 0;
-    int64_t sum = 0;
-    int64_t min = 0;
-    int64_t max = 0;
-    bool started = false;
-  };
-  std::map<Row, OracleAgg> oracle;
-  for (const Row& row : all->rows) {
-    OracleAgg& agg = oracle[Row{row[1]}];
-    ++agg.count;
-    if (row[2].type() != ValueType::kInt) continue;
-    const int64_t v = row[2].as_int();
-    if (!agg.started) {
-      agg.sum = agg.min = agg.max = v;
-      agg.started = true;
-    } else {
-      agg.sum += v;
-      agg.min = std::min(agg.min, v);
-      agg.max = std::max(agg.max, v);
-    }
-  }
-
-  for (const ScanKernel kernel :
-       {ScanKernel::kScalar, ScanKernel::kSwar, ScanKernel::kAvx2}) {
-    ForceScanKernel(kernel);
-    for (const bool force_row : {false, true}) {
-      for (const uint32_t dop : {1u, 2u, 8u}) {
-        q.force_row_store = force_row;
-        q.dop = dop;
-        const auto result = db_.Query(q);
-        ASSERT_TRUE(result.ok());
-        const std::string ctx = std::string(" kernel=") +
-                                ScanKernelName(kernel) +
-                                " force_row=" + std::to_string(force_row) +
-                                " dop=" + std::to_string(dop);
-        ASSERT_EQ(result->rows.size(), oracle.size()) << ctx;
-        size_t i = 0;
-        for (const auto& [key, agg] : oracle) {
-          const Row& row = result->rows[i++];
-          ASSERT_EQ(row.size(), 5u) << ctx;
-          EXPECT_EQ(row[0], key[0]) << ctx;
-          EXPECT_EQ(row[1], Value(agg.count)) << ctx;
-          EXPECT_EQ(row[2], agg.started ? Value(agg.sum) : Value()) << ctx;
-          EXPECT_EQ(row[3], agg.started ? Value(agg.min) : Value()) << ctx;
-          EXPECT_EQ(row[4], agg.started ? Value(agg.max) : Value()) << ctx;
+  ASSERT_EQ(all->rows.size(), static_cast<size_t>(num_rows));
+  const std::vector<std::pair<std::vector<uint32_t>, std::vector<AggSpec>>>
+      shapes = {{{1},
+                 {{AggKind::kCount, 0},
+                  {AggKind::kSum, 2},
+                  {AggKind::kMin, 2},
+                  {AggKind::kMax, 2}}},
+                {{4},
+                 {{AggKind::kCount, 0},
+                  {AggKind::kSum, 3},
+                  {AggKind::kMin, 3},
+                  {AggKind::kMax, 3},
+                  {AggKind::kSum, 2}}},
+                {{},
+                 {{AggKind::kSum, 3},
+                  {AggKind::kCount, 0},
+                  {AggKind::kMin, 3},
+                  {AggKind::kMax, 3}}}};
+  for (const auto& [group_by, specs] : shapes) {
+    const std::vector<Row> want = OracleFold(all->rows, group_by, specs);
+    ScanQuery q;
+    q.object = rnd;
+    q.group_by = group_by;
+    q.aggregates = specs;
+    for (const ScanKernel kernel :
+         {ScanKernel::kScalar, ScanKernel::kSwar, ScanKernel::kAvx2}) {
+      ForceScanKernel(kernel);
+      for (const bool force_row : {false, true}) {
+        for (const uint32_t dop : {1u, 2u, 3u, 8u}) {
+          q.force_row_store = force_row;
+          q.dop = dop;
+          const auto result = db_.Query(q);
+          ASSERT_TRUE(result.ok());
+          const std::string ctx =
+              " keys=" + std::to_string(group_by.size()) +
+              " kernel=" + ScanKernelName(kernel) +
+              " force_row=" + std::to_string(force_row) +
+              " dop=" + std::to_string(dop);
+          EXPECT_EQ(result->rows, want) << ctx;
+          EXPECT_FALSE(result->agg_overflow) << ctx;
+          if (!force_row && !ForceRowPathEnv()) {
+            EXPECT_GT(result->stats.rows_from_imcs, 0u) << ctx;
+            EXPECT_GT(result->stats.invalid_rowpath, 0u) << ctx;
+          }
         }
       }
     }
@@ -680,56 +761,6 @@ TEST_F(ExecutorTest, MultiJoinDopSweepIdentical) {
 // the join chain when joins feed them — or off materialized rows: one fold,
 // one set of row semantics.
 // ---------------------------------------------------------------------------
-
-/// Hand fold of `rows` under the row semantics every fold path must keep: a
-/// key column past the row's arity is NULL, COUNT counts every row, and
-/// SUM/MIN/MAX skip NULL and non-int inputs (NULL when nothing folded).
-/// Output is key ++ aggregates per group, sorted by key tuple.
-std::vector<Row> OracleFold(const std::vector<Row>& rows,
-                            const std::vector<uint32_t>& group_by,
-                            const std::vector<AggSpec>& specs) {
-  struct Acc {
-    int64_t count = 0, value = 0;
-    bool started = false;
-  };
-  std::map<Row, std::vector<Acc>> groups;
-  for (const Row& row : rows) {
-    Row key;
-    for (uint32_t g : group_by)
-      key.push_back(g < row.size() ? row[g] : Value());
-    std::vector<Acc>& accs = groups[key];
-    accs.resize(specs.size());
-    for (size_t i = 0; i < specs.size(); ++i) {
-      Acc& a = accs[i];
-      ++a.count;
-      const uint32_t c = specs[i].column;
-      if (specs[i].kind == AggKind::kCount || c >= row.size() ||
-          row[c].type() != ValueType::kInt)
-        continue;
-      const int64_t v = row[c].as_int();
-      a.value = !a.started                       ? v
-                : specs[i].kind == AggKind::kSum ? a.value + v
-                : specs[i].kind == AggKind::kMin ? std::min(a.value, v)
-                                                 : std::max(a.value, v);
-      a.started = true;
-    }
-  }
-  if (group_by.empty() && groups.empty()) groups[Row{}].resize(specs.size());
-  std::vector<Row> out;
-  for (const auto& [key, accs] : groups) {
-    Row row = key;
-    for (size_t i = 0; i < specs.size(); ++i) {
-      const Acc& a = accs[i];
-      if (specs[i].kind == AggKind::kCount) {
-        row.push_back(Value(a.count));
-      } else {
-        row.push_back(a.started ? Value(a.value) : Value());
-      }
-    }
-    out.push_back(std::move(row));
-  }
-  return out;
-}
 
 /// Two IMCUs (16 blocks of 256 rows each) whose key codes mean different
 /// values: ids [0, 4096) hold n1 in [0, 8) and c1 in {a0..a3}, ids

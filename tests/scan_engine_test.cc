@@ -61,6 +61,26 @@ class ScanEngineTest : public ::testing::Test {
     return ids;
   }
 
+  /// Ids of the rows a scan of `table` emits, in emission order.
+  std::vector<int64_t> OrderedIds(const Table& table,
+                                  const std::vector<Predicate>& preds,
+                                  const std::vector<const ImStore*>& stores,
+                                  size_t dop, ScanStats* stats = nullptr) {
+    std::vector<int64_t> ids;
+    ScanOptions options;
+    options.dop = dop;
+    ScanEngine engine;
+    const RowSink sink = [&](const Row& row) {
+      ids.push_back(row[0].as_int());
+    };
+    EXPECT_TRUE(engine
+                    .Scan(table, preds, ViewNow(), stores, cache_, sink, stats,
+                          /*needs_rows=*/true, /*expressions=*/nullptr,
+                          ScanAggregate{}, nullptr, options)
+                    .ok());
+    return ids;
+  }
+
   ScnAllocator scns_;
   TxnTable txns_;
   BlockStore store_;
@@ -606,6 +626,87 @@ TEST_F(ScanEngineTest, AggregatePushdownMinMaxAtHighDop) {
       EXPECT_EQ(agg.acc, kind == AggKind::kMin ? expected_min : expected_max)
           << "dop=" << dop;
     }
+  }
+}
+
+// Two stores whose SMUs cover the same blocks: the SMU gathered second
+// overlaps an accepted one and is skipped, so every block is scanned once, in
+// block order, whichever store comes first.
+TEST_F(ScanEngineTest, OverlappingSmusScanEachBlockOnce) {
+  Random rng(6);
+  InsertRows(6 * kRowsPerBlock + 40, &rng);
+  ASSERT_TRUE(populator_->PopulateNow(10).ok());
+  ImStore second(0, 64u << 20);
+  PopulationOptions options;
+  options.blocks_per_imcu = 3;  // Straddles the first store's 2-block IMCUs.
+  Populator second_populator(&second, &snapshot_, &store_, options);
+  second_populator.EnableObject(&table_);
+  ASSERT_TRUE(second_populator.PopulateNow(10).ok());
+  ASSERT_FALSE(second.SmusForObject(10).empty());
+
+  const std::vector<Predicate> preds = {{1, PredOp::kGe, Value(int64_t{5})}};
+  const std::vector<int64_t> want = OrderedIds(table_, preds, {}, 1);
+  ASSERT_FALSE(want.empty());
+  ScanStats alone;
+  EXPECT_EQ(OrderedIds(table_, preds, {&im_store_}, 1, &alone), want);
+  EXPECT_GT(alone.rows_from_imcs, 0u);
+  for (const size_t dop : {size_t{1}, size_t{2}, size_t{8}}) {
+    ScanStats both;
+    EXPECT_EQ(OrderedIds(table_, preds, {&im_store_, &second}, dop, &both),
+              want)
+        << "dop=" << dop;
+    EXPECT_EQ(both.imcus_scanned + both.imcus_pruned,
+              alone.imcus_scanned + alone.imcus_pruned);
+    EXPECT_EQ(both.parallel_tasks, alone.parallel_tasks);
+    EXPECT_EQ(both.rows_from_imcs, alone.rows_from_imcs);
+    EXPECT_EQ(both.blocks_rowpath, alone.blocks_rowpath);
+
+    ScanStats reversed;
+    EXPECT_EQ(OrderedIds(table_, preds, {&second, &im_store_}, dop, &reversed),
+              want)
+        << "dop=" << dop;
+    EXPECT_EQ(reversed.rows_from_imcs + reversed.rows_from_rowstore,
+              want.size());
+  }
+}
+
+// An SMU none of whose blocks the table's block list holds (here another
+// table's, under the same object id) anchors past every listed block: its
+// rows come last, even when its store is consulted first.
+TEST_F(ScanEngineTest, SmusOfUnlistedBlocksSortLast) {
+  Random rng(5);
+  InsertRows(3 * kRowsPerBlock, &rng);
+  ASSERT_TRUE(populator_->PopulateNow(10).ok());
+  Table other(10, kDefaultTenant, "other", Schema::WideTable(1, 1), &store_);
+  Transaction txn = mgr_.Begin();
+  for (int i = 0; i < 2 * static_cast<int>(kRowsPerBlock); ++i) {
+    Row row{Value(static_cast<int64_t>(next_id_++)),
+            Value(static_cast<int64_t>(rng.Uniform(20))),
+            Value(std::string("o") + std::to_string(rng.Uniform(5)))};
+    ASSERT_TRUE(mgr_.Insert(&txn, &other, std::move(row), nullptr).ok());
+  }
+  ASSERT_TRUE(mgr_.Commit(&txn).ok());
+  ImStore other_store(0, 64u << 20);
+  PopulationOptions options;
+  options.blocks_per_imcu = 2;
+  Populator other_populator(&other_store, &snapshot_, &store_, options);
+  other_populator.EnableObject(&other);
+  ASSERT_TRUE(other_populator.PopulateNow(10).ok());
+  ASSERT_FALSE(other_store.SmusForObject(10).empty());
+
+  const std::vector<Predicate> preds = {{1, PredOp::kLe, Value(int64_t{9})}};
+  std::vector<int64_t> want = OrderedIds(table_, preds, {}, 1);
+  const std::vector<int64_t> unlisted = OrderedIds(other, preds, {}, 1);
+  ASSERT_FALSE(want.empty());
+  ASSERT_FALSE(unlisted.empty());
+  want.insert(want.end(), unlisted.begin(), unlisted.end());
+  for (const size_t dop : {size_t{1}, size_t{2}, size_t{8}}) {
+    ScanStats stats;
+    EXPECT_EQ(
+        OrderedIds(table_, preds, {&other_store, &im_store_}, dop, &stats),
+        want)
+        << "dop=" << dop;
+    EXPECT_GE(stats.rows_from_imcs, unlisted.size()) << "dop=" << dop;
   }
 }
 

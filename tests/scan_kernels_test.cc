@@ -72,8 +72,8 @@ TEST(ScanKernelDispatchTest, NamesAndOverride) {
 }
 
 TEST(FilterCodesBitmapTest, AllWidthsAllKernelsAgainstOracle) {
-  for (unsigned width : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 12u, 13u, 16u, 17u,
-                         24u, 31u, 32u, 33u, 40u, 63u, 64u}) {
+  // Every width: each per-width kernel instantiation meets the oracle.
+  for (unsigned width = 1; width <= 64; ++width) {
     Random rng(1000 + width);
     const uint64_t mask =
         width >= 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
