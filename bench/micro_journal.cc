@@ -1,7 +1,7 @@
 // Microbenchmarks of the DBIM-on-ADG bookkeeping structures on the redo-apply
 // hot path: IM-ADG Journal record buffering (per-worker areas, Section III.C),
 // IM-ADG Commit Table insertion (partitioned vs single sorted list, Section
-// III.D.1), worklink chopping, and redo record encode/decode.
+// III.D.1), worklink chopping, and redo batch encode/decode.
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +9,7 @@
 #include "imadg/commit_table.h"
 #include "imadg/journal.h"
 #include "common/random.h"
+#include "net/codec.h"
 #include "redo/change_vector.h"
 
 namespace stratus {
@@ -111,7 +112,9 @@ void BM_WorklinkChop(benchmark::State& state) {
 }
 BENCHMARK(BM_WorklinkChop)->Unit(benchmark::kMicrosecond);
 
-void BM_RedoRecordEncodeDecode(benchmark::State& state) {
+/// One 20-column update record through the one redo codec (the wire's and
+/// the archive's EncodeRedoBatch/DecodeRedoBatch).
+void BM_RedoBatchEncodeDecode(benchmark::State& state) {
   RedoRecord rec;
   rec.scn = 12345;
   ChangeVector cv;
@@ -124,16 +127,16 @@ void BM_RedoRecordEncodeDecode(benchmark::State& state) {
   for (int c = 0; c < 10; ++c) cv.after.push_back(Value(static_cast<int64_t>(c)));
   for (int c = 0; c < 10; ++c) cv.after.push_back(Value(std::string("abcdefgh")));
   rec.cvs.push_back(std::move(cv));
+  const std::vector<RedoRecord> batch = {rec};
   for (auto _ : state) {
     std::string buf;
-    EncodeRedoRecord(rec, &buf);
-    size_t pos = 0;
-    RedoRecord out;
-    benchmark::DoNotOptimize(DecodeRedoRecord(buf, &pos, &out));
+    net::EncodeRedoBatch(batch, &buf);
+    std::vector<RedoRecord> out;
+    benchmark::DoNotOptimize(net::DecodeRedoBatch(buf, &out));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_RedoRecordEncodeDecode);
+BENCHMARK(BM_RedoBatchEncodeDecode);
 
 /// Unified BENCH_micro_journal.json emitted at exit (google-benchmark owns
 /// main(); per-case timings stay in the benchmark's own stdout — the report

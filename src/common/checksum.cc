@@ -1,7 +1,6 @@
 #include "common/checksum.h"
 
 #include <array>
-#include <cstring>
 
 namespace stratus {
 
@@ -29,12 +28,6 @@ struct Crc32cTables {
 const Crc32cTables& Tables() {
   static const Crc32cTables tables;
   return tables;
-}
-
-uint32_t LoadU32(const char* p) {
-  uint32_t v;
-  std::memcpy(&v, p, 4);
-  return v;
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 namespace stratus {
@@ -34,6 +35,22 @@ inline uint64_t ZigzagEncode(int64_t v) {
 }
 inline int64_t ZigzagDecode(uint64_t v) {
   return static_cast<int64_t>((v >> 1) ^ (~(v & 1) + 1));
+}
+
+// ---------------------------------------------------------------------------
+// Fixed-width u32 in host order (little-endian on every supported target):
+// the magic, length and CRC fields of the two 12-byte envelopes
+// (net::EncodeFrame, persist::WrapChecked) and the CRC's slice-by-8 loads.
+// ---------------------------------------------------------------------------
+inline void PutU32(std::string* out, uint32_t v) {
+  char buf[4];
+  std::memcpy(buf, &v, 4);
+  out->append(buf, 4);
+}
+inline uint32_t LoadU32(const char* p) {
+  uint32_t v;
+  std::memcpy(&v, p, 4);
+  return v;
 }
 
 }  // namespace stratus

@@ -5,39 +5,13 @@
 
 #include "imcs/im_store.h"
 #include "imcs/smu.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "redo/log_shipping.h"
 
 namespace stratus {
 
 namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string ScnStr(Scn scn) {
-  return scn == kInvalidScn ? std::string("null") : std::to_string(scn);
-}
 
 /// Rounds to two decimals without locale-dependent formatting.
 std::string Pct(double v) {
@@ -111,10 +85,10 @@ void CollectStoreRows(const std::string& role, InstanceId instance,
 
 std::string VImSegmentsRow::ToJson() const {
   std::string out = "{";
-  out += "\"role\":\"" + JsonEscape(role) + "\"";
+  out += "\"role\":\"" + obs::JsonEscape(role) + "\"";
   out += ",\"instance\":" + std::to_string(instance);
   out += ",\"object\":" + std::to_string(object);
-  out += ",\"name\":\"" + JsonEscape(name) + "\"";
+  out += ",\"name\":\"" + obs::JsonEscape(name) + "\"";
   out += ",\"smus_total\":" + std::to_string(smus_total);
   out += ",\"smus_ready\":" + std::to_string(smus_ready);
   out += ",\"smus_populating\":" + std::to_string(smus_populating);
@@ -126,10 +100,10 @@ std::string VImSegmentsRow::ToJson() const {
   out += ",\"blocks_covered\":" + std::to_string(blocks_covered);
   out += ",\"population_pct\":" + Pct(population_pct);
   out += ",\"bytes\":" + std::to_string(bytes);
-  out += ",\"min_snapshot_scn\":" + ScnStr(min_snapshot_scn);
-  out += ",\"max_snapshot_scn\":" + ScnStr(max_snapshot_scn);
-  out += ",\"planner_path\":\"" + JsonEscape(planner_path) + "\"";
-  out += ",\"planner_reason\":\"" + JsonEscape(planner_reason) + "\"";
+  out += ",\"min_snapshot_scn\":" + obs::JsonScn(min_snapshot_scn);
+  out += ",\"max_snapshot_scn\":" + obs::JsonScn(max_snapshot_scn);
+  out += ",\"planner_path\":\"" + obs::JsonEscape(planner_path) + "\"";
+  out += ",\"planner_reason\":\"" + obs::JsonEscape(planner_reason) + "\"";
   out += "}";
   return out;
 }
@@ -139,9 +113,9 @@ std::string VStandbyApplyRow::ToJson() const {
   out += "\"degraded\":" + std::string(degraded ? "true" : "false");
   out += ",\"apply_errors\":" + std::to_string(apply_errors);
   out += ",\"quarantined_imcus\":" + std::to_string(quarantined_imcus);
-  out += ",\"first_error\":\"" + JsonEscape(first_error) + "\"";
-  out += ",\"applied_scn\":" + ScnStr(applied_scn);
-  out += ",\"query_scn\":" + ScnStr(query_scn);
+  out += ",\"first_error\":\"" + obs::JsonEscape(first_error) + "\"";
+  out += ",\"applied_scn\":" + obs::JsonScn(applied_scn);
+  out += ",\"query_scn\":" + obs::JsonScn(query_scn);
   out += ",\"restarts\":" + std::to_string(restarts);
   out += ",\"crash_restarts\":" + std::to_string(crash_restarts);
   out += ",\"journal_live_anchors\":" + std::to_string(journal_live_anchors);
@@ -153,11 +127,11 @@ std::string VStandbyApplyRow::ToJson() const {
          std::to_string(commit_table_live_nodes);
   out += ",\"commit_table_inserts\":" + std::to_string(commit_table_inserts);
   out += ",\"commit_table_min_pending_scn\":" +
-         ScnStr(commit_table_min_pending_scn);
+         obs::JsonScn(commit_table_min_pending_scn);
   out += ",\"lag_valid\":" + std::string(lag_valid ? "true" : "false");
   if (lag_valid) {
-    out += ",\"primary_scn\":" + ScnStr(lag.primary_scn);
-    out += ",\"shipped_scn\":" + ScnStr(lag.shipped_scn);
+    out += ",\"primary_scn\":" + obs::JsonScn(lag.primary_scn);
+    out += ",\"shipped_scn\":" + obs::JsonScn(lag.shipped_scn);
     out += ",\"transport_lag_scn\":" + std::to_string(lag.transport_lag_scn);
     out += ",\"apply_lag_scn\":" + std::to_string(lag.apply_lag_scn);
     out += ",\"staleness_scn\":" + std::to_string(lag.staleness_scn);
@@ -174,10 +148,10 @@ std::string VStandbyApplyRow::ToJson() const {
 
 std::string VTransportRow::ToJson() const {
   std::string out = "{";
-  out += "\"channel\":\"" + JsonEscape(channel) + "\"";
+  out += "\"channel\":\"" + obs::JsonEscape(channel) + "\"";
   out += ",\"paused\":" + std::string(paused ? "true" : "false");
   out += ",\"records_shipped\":" + std::to_string(records_shipped);
-  out += ",\"last_shipped_scn\":" + ScnStr(last_shipped_scn);
+  out += ",\"last_shipped_scn\":" + obs::JsonScn(last_shipped_scn);
   out += ",\"frames_sent\":" + std::to_string(stats.frames_sent);
   out += ",\"bytes_sent\":" + std::to_string(stats.bytes_sent);
   out += ",\"frames_delivered\":" + std::to_string(stats.frames_delivered);
@@ -203,7 +177,7 @@ std::string VTransportRow::ToJson() const {
 std::string VPersistRow::ToJson() const {
   std::string out = "{";
   out += "\"enabled\":" + std::string(enabled ? "true" : "false");
-  out += ",\"data_dir\":\"" + JsonEscape(data_dir) + "\"";
+  out += ",\"data_dir\":\"" + obs::JsonEscape(data_dir) + "\"";
   out += ",\"disk_restarts\":" + std::to_string(disk_restarts);
   out += ",\"archived_records\":" + std::to_string(archived_records);
   out += ",\"archived_bytes\":" + std::to_string(archived_bytes);
@@ -215,10 +189,10 @@ std::string VPersistRow::ToJson() const {
   out += ",\"snapshots\":" + std::to_string(snapshots);
   out += ",\"recoveries\":" + std::to_string(recoveries);
   out += ",\"faults_injected\":" + std::to_string(faults_injected);
-  out += ",\"durable_scn\":" + ScnStr(durable_scn);
-  out += ",\"checkpoint_scn\":" + ScnStr(checkpoint_scn);
-  out += ",\"snapshot_scn\":" + ScnStr(snapshot_scn);
-  out += ",\"recovered_scn\":" + ScnStr(recovered_scn);
+  out += ",\"durable_scn\":" + obs::JsonScn(durable_scn);
+  out += ",\"checkpoint_scn\":" + obs::JsonScn(checkpoint_scn);
+  out += ",\"snapshot_scn\":" + obs::JsonScn(snapshot_scn);
+  out += ",\"recovered_scn\":" + obs::JsonScn(recovered_scn);
   out += ",\"ckpt_loaded\":" + std::string(ckpt_loaded ? "true" : "false");
   out += ",\"snap_loaded\":" + std::string(snap_loaded ? "true" : "false");
   out += ",\"restored_blocks\":" + std::to_string(restored_blocks);
@@ -410,7 +384,7 @@ obs::HttpResponse ClusterObservability::View(const std::string& view) const {
     resp.body = CollectVPersist(cluster_->standby()).ToJson();
   } else {
     resp.status = 404;
-    resp.body = "{\"error\":\"unknown view '" + JsonEscape(view) +
+    resp.body = "{\"error\":\"unknown view '" + obs::JsonEscape(view) +
                 "'; try im_segments, standby_apply, transport, persist\"}";
   }
   return resp;

@@ -5,39 +5,9 @@
 #include <map>
 
 #include "common/clock.h"
+#include "obs/metrics.h"
 
 namespace stratus {
-
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string ScnStr(Scn scn) {
-  return scn == kInvalidScn ? std::string("null") : std::to_string(scn);
-}
-
-}  // namespace
 
 std::vector<WorkerLane> RollupLanes(const ScanProfile& profile) {
   std::map<uint32_t, WorkerLane> by_worker;
@@ -60,26 +30,26 @@ std::vector<WorkerLane> RollupLanes(const ScanProfile& profile) {
 
 std::string OperatorStage::ToJson() const {
   std::string out = "{";
-  out += "\"op\":\"" + JsonEscape(op) + "\"";
+  out += "\"op\":\"" + obs::JsonEscape(op) + "\"";
   if (object != kInvalidObjectId)
     out += ",\"object\":" + std::to_string(object);
   if (!path.empty()) {
     char frac[32];
     std::snprintf(frac, sizeof(frac), "%.4f", invalid_fraction);
-    out += ",\"path\":\"" + JsonEscape(path) + "\"";
-    out += ",\"reason\":\"" + JsonEscape(reason) + "\"";
+    out += ",\"path\":\"" + obs::JsonEscape(path) + "\"";
+    out += ",\"reason\":\"" + obs::JsonEscape(reason) + "\"";
     out += ",\"invalid_fraction\":" + std::string(frac);
   }
   out += ",\"rows_in\":" + std::to_string(rows_in);
   out += ",\"rows_out\":" + std::to_string(rows_out);
   if (op == "hash_agg") {
     out += ",\"groups\":" + std::to_string(groups);
-    out += ",\"fold\":\"" + JsonEscape(fold) + "\"";
+    out += ",\"fold\":\"" + obs::JsonEscape(fold) + "\"";
   }
   if (op == "hash_join") {
     out += ",\"build_rows\":" + std::to_string(build_rows);
     out += ",\"probe_rows\":" + std::to_string(probe_rows);
-    out += ",\"build_side\":\"" + JsonEscape(build_side) + "\"";
+    out += ",\"build_side\":\"" + obs::JsonEscape(build_side) + "\"";
   }
   out += ",\"elapsed_us\":" + std::to_string(elapsed_us);
   out += "}";
@@ -198,12 +168,12 @@ std::string QueryProfile::Explain() const {
 std::string QueryProfile::ToJson() const {
   std::string out = "{";
   out += "\"query_id\":" + std::to_string(query_id);
-  out += ",\"kind\":\"" + JsonEscape(kind) + "\"";
-  out += ",\"role\":\"" + JsonEscape(role) + "\"";
+  out += ",\"kind\":\"" + obs::JsonEscape(kind) + "\"";
+  out += ",\"role\":\"" + obs::JsonEscape(role) + "\"";
   out += ",\"object\":" + std::to_string(object);
   if (join_right != kInvalidObjectId)
     out += ",\"join_right\":" + std::to_string(join_right);
-  out += ",\"snapshot\":" + ScnStr(snapshot);
+  out += ",\"snapshot\":" + obs::JsonScn(snapshot);
   out += ",\"rows_returned\":" + std::to_string(rows_returned);
   out += ",\"matches\":" + std::to_string(matches);
   if (!stages.empty()) {
@@ -244,7 +214,7 @@ std::string QueryProfile::ToJson() const {
   }
   out += ",\"lag_sampled\":" + std::string(lag_sampled ? "true" : "false");
   if (lag_sampled) {
-    out += ",\"primary_scn\":" + ScnStr(primary_scn);
+    out += ",\"primary_scn\":" + obs::JsonScn(primary_scn);
     out += ",\"staleness_scn\":" + std::to_string(staleness_scn);
     out += ",\"staleness_us\":" + std::to_string(staleness_us);
   }
@@ -311,9 +281,9 @@ std::string SlowQueryLog::ToJson() const {
   for (size_t i = 0; i < inflight.size(); ++i) {
     if (i != 0) out += ",";
     out += "{\"query_id\":" + std::to_string(inflight[i].query_id) +
-           ",\"kind\":\"" + JsonEscape(inflight[i].kind) + "\"" +
+           ",\"kind\":\"" + obs::JsonEscape(inflight[i].kind) + "\"" +
            ",\"object\":" + std::to_string(inflight[i].object) +
-           ",\"snapshot\":" + ScnStr(inflight[i].snapshot) +
+           ",\"snapshot\":" + obs::JsonScn(inflight[i].snapshot) +
            ",\"started_at_us\":" + std::to_string(inflight[i].started_at_us) +
            "}";
   }

@@ -2,14 +2,12 @@
 
 #include <cstdio>
 
+#include "obs/metrics.h"
+
 namespace stratus {
 namespace fleet {
 
 namespace {
-
-std::string ScnStr(Scn scn) {
-  return scn == kInvalidScn ? std::string("null") : std::to_string(scn);
-}
 
 std::string Frac(double v) {
   char buf[32];
@@ -43,7 +41,7 @@ std::string FleetObservability::FleetJson() const {
     total_served += fleet_->node(i)->served();
 
   std::string out = "{\"primary_scn\":";
-  out += ScnStr(fleet_->primary()->current_scn());
+  out += obs::JsonScn(fleet_->primary()->current_scn());
   out += ",\"nodes\":[";
   for (int i = 0; i < fleet_->num_standbys(); ++i) {
     StandbyNode* node = fleet_->node(i);
@@ -54,8 +52,8 @@ std::string FleetObservability::FleetJson() const {
     out += ",\"accepting\":" + std::string(node->accepting() ? "true" : "false");
     out += ",\"degraded\":" + std::string(health.degraded ? "true" : "false");
     out += ",\"apply_errors\":" + std::to_string(health.apply_errors);
-    out += ",\"query_scn\":" + ScnStr(node->db()->published_query_scn());
-    out += ",\"applied_scn\":" + ScnStr(node->db()->applied_scn());
+    out += ",\"query_scn\":" + obs::JsonScn(node->db()->published_query_scn());
+    out += ",\"applied_scn\":" + obs::JsonScn(node->db()->applied_scn());
     if (node->lag_monitor() != nullptr) {
       const obs::LagSnapshot lag = node->lag_monitor()->Snapshot();
       out += ",\"transport_lag_scn\":" + std::to_string(lag.transport_lag_scn);

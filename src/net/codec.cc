@@ -5,8 +5,6 @@
 namespace stratus {
 namespace net {
 
-namespace {
-
 void PutLengthPrefixed(std::string* out, const std::string& s) {
   PutVarint64(out, s.size());
   out->append(s);
@@ -21,7 +19,7 @@ bool GetLengthPrefixed(const std::string& buf, size_t* pos, std::string* s) {
   return true;
 }
 
-void EncodeWireValue(const Value& v, std::string* out) {
+void PutValue(std::string* out, const Value& v) {
   out->push_back(static_cast<char>(v.type()));
   switch (v.type()) {
     case ValueType::kNull:
@@ -35,7 +33,7 @@ void EncodeWireValue(const Value& v, std::string* out) {
   }
 }
 
-bool DecodeWireValue(const std::string& buf, size_t* pos, Value* out) {
+bool GetValue(const std::string& buf, size_t* pos, Value* out) {
   if (*pos >= buf.size()) return false;
   const uint8_t tag = static_cast<uint8_t>(buf[(*pos)++]);
   switch (static_cast<ValueType>(tag)) {
@@ -58,6 +56,27 @@ bool DecodeWireValue(const std::string& buf, size_t* pos, Value* out) {
   return false;
 }
 
+void PutRow(std::string* out, const Row& row) {
+  PutVarint64(out, row.size());
+  for (const Value& v : row) PutValue(out, v);
+}
+
+bool GetRow(const std::string& buf, size_t* pos, Row* out) {
+  uint64_t arity = 0;
+  if (!GetVarint64(buf, pos, &arity)) return false;
+  if (arity > buf.size() - *pos) return false;  // ≥1 byte per value.
+  out->clear();
+  out->reserve(static_cast<size_t>(arity));
+  for (uint64_t i = 0; i < arity; ++i) {
+    Value v;
+    if (!GetValue(buf, pos, &v)) return false;
+    out->push_back(std::move(v));
+  }
+  return true;
+}
+
+namespace {
+
 // CV flag byte: the im_flag plus "has a row payload" / "has a DDL payload"
 // markers so control CVs pay zero bytes for fields they do not carry.
 constexpr uint8_t kCvImFlag = 0x1;
@@ -79,10 +98,7 @@ void EncodeWireCv(const ChangeVector& cv, Scn record_scn, std::string* out) {
   if (!cv.after.empty()) flags |= kCvHasAfter;
   if (cv.ddl.op != DdlOp::kNone) flags |= kCvHasDdl;
   out->push_back(static_cast<char>(flags));
-  if (flags & kCvHasAfter) {
-    PutVarint64(out, cv.after.size());
-    for (const Value& v : cv.after) EncodeWireValue(v, out);
-  }
+  if (flags & kCvHasAfter) PutRow(out, cv.after);
   if (flags & kCvHasDdl) {
     out->push_back(static_cast<char>(cv.ddl.op));
     PutVarint64(out, cv.ddl.object_id);
@@ -113,17 +129,7 @@ bool DecodeWireCv(const std::string& buf, size_t* pos, Scn record_scn,
   const uint8_t flags = static_cast<uint8_t>(buf[(*pos)++]);
   cv->im_flag = (flags & kCvImFlag) != 0;
   cv->after.clear();
-  if (flags & kCvHasAfter) {
-    uint64_t arity = 0;
-    if (!GetVarint64(buf, pos, &arity)) return false;
-    if (arity > buf.size() - *pos) return false;  // ≥1 byte per value.
-    cv->after.reserve(static_cast<size_t>(arity));
-    for (uint64_t i = 0; i < arity; ++i) {
-      Value v;
-      if (!DecodeWireValue(buf, pos, &v)) return false;
-      cv->after.push_back(std::move(v));
-    }
-  }
+  if ((flags & kCvHasAfter) && !GetRow(buf, pos, &cv->after)) return false;
   cv->ddl = DdlMarker{};
   if (flags & kCvHasDdl) {
     if (*pos >= buf.size()) return false;
@@ -196,12 +202,6 @@ Status DecodeRedoBatch(const std::string& payload, std::vector<RedoRecord>* out)
   if (pos != payload.size())
     return Status::Corruption("trailing bytes after redo batch");
   return Status::OK();
-}
-
-size_t RedoBatchWireSize(const std::vector<RedoRecord>& batch) {
-  std::string tmp;
-  EncodeRedoBatch(batch, &tmp);
-  return tmp.size();
 }
 
 void EncodeInvalidationMessage(const InvalidationMessage& msg, std::string* out) {

@@ -8,22 +8,37 @@
 #include "common/types.h"
 #include "imadg/invalidation.h"
 #include "redo/change_vector.h"
+#include "storage/value.h"
 
 namespace stratus {
 namespace net {
 
 // ---------------------------------------------------------------------------
-// Redo batches. The wire form packs every integer field as a varint (SCNs are
-// delta-encoded within a batch, values are zigzag varints) so a typical OLTP
-// change vector costs a handful of bytes instead of the ~50 fixed-width bytes
-// of the accounting encoding. Encode/decode are exact inverses: decoding an
-// encoded batch and re-encoding it yields byte-identical output.
+// Values, rows and length-prefixed strings: the one value coder, shared by
+// the redo batch below and every persist file (checkpoint, IMCS snapshot,
+// META). A value is its ValueType tag byte, then a zigzag varint (kInt) or a
+// length-prefixed string (kString); a row is a varint arity, then its values.
+// The Get side is bounds-checked: a length or arity larger than the bytes
+// left fails the read instead of allocating or wrapping `*pos`.
+// ---------------------------------------------------------------------------
+void PutLengthPrefixed(std::string* out, const std::string& s);
+bool GetLengthPrefixed(const std::string& buf, size_t* pos, std::string* s);
+void PutValue(std::string* out, const Value& v);
+bool GetValue(const std::string& buf, size_t* pos, Value* out);
+void PutRow(std::string* out, const Row& row);
+bool GetRow(const std::string& buf, size_t* pos, Row* out);
+
+// ---------------------------------------------------------------------------
+// Redo batches: the one redo encoding, on the wire (kRedoBatch frames) and
+// in the standby's redo archive. Every integer field is a varint (SCNs are
+// delta-encoded within a batch, values are zigzag varints) and control CVs
+// pay nothing for the row and DDL payloads they do not carry, so a typical
+// OLTP change vector costs a handful of bytes. Encode/decode are exact
+// inverses: decoding an encoded batch and re-encoding it yields
+// byte-identical output.
 // ---------------------------------------------------------------------------
 void EncodeRedoBatch(const std::vector<RedoRecord>& batch, std::string* out);
 Status DecodeRedoBatch(const std::string& payload, std::vector<RedoRecord>* out);
-
-/// Encoded size of one batch (bytes), without materializing twice.
-size_t RedoBatchWireSize(const std::vector<RedoRecord>& batch);
 
 // ---------------------------------------------------------------------------
 // Invalidation messages (the RAC interconnect payloads): the four message

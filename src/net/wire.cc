@@ -1,26 +1,9 @@
 #include "net/wire.h"
 
-#include <array>
-#include <cstring>
+#include <limits>
 
 namespace stratus {
 namespace net {
-
-namespace {
-
-uint32_t LoadU32(const char* p) {
-  uint32_t v;
-  std::memcpy(&v, p, 4);
-  return v;
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-
-}  // namespace
 
 void EncodeFrame(const Frame& frame, std::string* out) {
   std::string body;

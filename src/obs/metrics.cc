@@ -137,20 +137,6 @@ std::string RenderLabels(const Labels& labels) {
   return out;
 }
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (c == '\n') {
-      out.append("\\n");
-      continue;
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
 std::string FmtDouble(double v) {
   char buf[64];
   if (v == static_cast<double>(static_cast<int64_t>(v)) &&
@@ -423,6 +409,37 @@ void ExportBuildInfo(MetricsRegistry* registry) {
   labels.emplace_back("chaos_points", "off");
 #endif
   registry->GetGauge("stratus_build_info", labels)->Set(1);
+}
+
+// ---------------------------------------------------------------------------
+// JSON helpers
+// ---------------------------------------------------------------------------
+
+std::string JsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+std::string JsonScn(Scn scn) {
+  return scn == kInvalidScn ? std::string("null") : std::to_string(scn);
 }
 
 }  // namespace obs

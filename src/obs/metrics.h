@@ -12,6 +12,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/types.h"
+
 namespace stratus {
 namespace obs {
 
@@ -219,6 +221,14 @@ class ScopedMetricsCallback {
   MetricsRegistry* registry_ = nullptr;
   uint64_t id_ = 0;
 };
+
+/// Escapes `s` for a JSON string body: quote, backslash and every control
+/// character (\n, \r, \t, else \u00XX). Shared by every JSON exporter: the
+/// registry's ExportJson, the introspection views and the query profiles.
+std::string JsonEscape(std::string_view s);
+
+/// An SCN as a JSON value: its number, or `null` for kInvalidScn.
+std::string JsonScn(Scn scn);
 
 }  // namespace obs
 }  // namespace stratus

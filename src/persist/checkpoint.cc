@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/checksum.h"
+#include "net/codec.h"
 #include "persist/persist_io.h"
 
 namespace stratus {
@@ -28,10 +29,10 @@ void EncodeCheckpoint(const CheckpointImage& img, std::string* out) {
   for (const TableImage& t : img.tables) {
     PutVarint64(&body, t.object_id);
     PutVarint64(&body, t.tenant);
-    PutLengthPrefixed(&body, t.name);
+    net::PutLengthPrefixed(&body, t.name);
     PutVarint64(&body, t.columns.size());
     for (const ColumnDef& c : t.columns) {
-      PutLengthPrefixed(&body, c.name);
+      net::PutLengthPrefixed(&body, c.name);
       body.push_back(static_cast<char>(c.type));
     }
     body.push_back(static_cast<char>(t.im_service));
@@ -52,7 +53,7 @@ void EncodeCheckpoint(const CheckpointImage& img, std::string* out) {
       for (const RowVersionImage& v : chain) {
         PutVarint64(&body, v.xid);
         body.push_back(v.deleted ? 1 : 0);
-        PutRow(&body, v.data);
+        net::PutRow(&body, v.data);
       }
     }
   }
@@ -79,8 +80,11 @@ Status DecodeCheckpoint(const std::string& file, CheckpointImage* out) {
   if (!GetVarint64(body, &pos, &v)) return Corrupt("end_scn");
   out->end_scn = v;
 
+  // Every element takes at least one byte: a count that sizes a container
+  // and exceeds the bytes left is damage, not a reason to allocate.
   uint64_t ntables = 0;
-  if (!GetVarint64(body, &pos, &ntables)) return Corrupt("table count");
+  if (!GetVarint64(body, &pos, &ntables) || ntables > body.size() - pos)
+    return Corrupt("table count");
   out->tables.clear();
   out->tables.reserve(ntables);
   for (uint64_t i = 0; i < ntables; ++i) {
@@ -88,12 +92,14 @@ Status DecodeCheckpoint(const std::string& file, CheckpointImage* out) {
     if (!GetVarint64(body, &pos, &t.object_id)) return Corrupt("object id");
     if (!GetVarint64(body, &pos, &v)) return Corrupt("tenant");
     t.tenant = static_cast<TenantId>(v);
-    if (!GetLengthPrefixed(body, &pos, &t.name)) return Corrupt("table name");
+    if (!net::GetLengthPrefixed(body, &pos, &t.name))
+      return Corrupt("table name");
     uint64_t ncols = 0;
     if (!GetVarint64(body, &pos, &ncols)) return Corrupt("column count");
     for (uint64_t c = 0; c < ncols; ++c) {
       ColumnDef def;
-      if (!GetLengthPrefixed(body, &pos, &def.name)) return Corrupt("column name");
+      if (!net::GetLengthPrefixed(body, &pos, &def.name))
+        return Corrupt("column name");
       if (pos >= body.size()) return Corrupt("column type");
       def.type = static_cast<ValueType>(body[pos++]);
       t.columns.push_back(std::move(def));
@@ -111,7 +117,8 @@ Status DecodeCheckpoint(const std::string& file, CheckpointImage* out) {
   }
 
   uint64_t nblocks = 0;
-  if (!GetVarint64(body, &pos, &nblocks)) return Corrupt("block count");
+  if (!GetVarint64(body, &pos, &nblocks) || nblocks > body.size() - pos)
+    return Corrupt("block count");
   out->blocks.clear();
   out->blocks.reserve(nblocks);
   for (uint64_t i = 0; i < nblocks; ++i) {
@@ -134,7 +141,7 @@ Status DecodeCheckpoint(const std::string& file, CheckpointImage* out) {
         if (!GetVarint64(body, &pos, &ver.xid)) return Corrupt("version xid");
         if (pos >= body.size()) return Corrupt("version flags");
         ver.deleted = body[pos++] != 0;
-        if (!GetRow(body, &pos, &ver.data)) return Corrupt("version row");
+        if (!net::GetRow(body, &pos, &ver.data)) return Corrupt("version row");
         b.chains[slot].push_back(std::move(ver));
       }
     }
@@ -142,7 +149,8 @@ Status DecodeCheckpoint(const std::string& file, CheckpointImage* out) {
   }
 
   uint64_t ntxns = 0;
-  if (!GetVarint64(body, &pos, &ntxns)) return Corrupt("txn count");
+  if (!GetVarint64(body, &pos, &ntxns) || ntxns > body.size() - pos)
+    return Corrupt("txn count");
   out->txns.clear();
   out->txns.reserve(ntxns);
   for (uint64_t i = 0; i < ntxns; ++i) {

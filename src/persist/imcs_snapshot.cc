@@ -4,6 +4,7 @@
 
 #include "common/checksum.h"
 #include "imcs/imcu.h"
+#include "net/codec.h"
 #include "persist/persist_io.h"
 
 namespace stratus {
@@ -24,7 +25,7 @@ void PutWords(std::string* out, const std::vector<uint64_t>& words) {
 
 bool GetWords(const std::string& buf, size_t* pos, std::vector<uint64_t>* words) {
   uint64_t n = 0;
-  if (!GetVarint64(buf, pos, &n)) return false;
+  if (!GetVarint64(buf, pos, &n) || n > buf.size() - *pos) return false;
   words->clear();
   words->reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -52,10 +53,7 @@ void EncodeImcsSnapshot(const ImcsSnapshotImage& img, std::string* out) {
     for (uint8_t t : s.column_types) body.push_back(static_cast<char>(t));
     PutWords(&body, s.present_words);
     PutWords(&body, s.invalid_words);
-    for (const std::string& col : s.columns) {
-      PutVarint64(&body, col.size());
-      body.append(col);
-    }
+    for (const std::string& col : s.columns) net::PutLengthPrefixed(&body, col);
   }
   WrapChecked(kSnapMagic, body, out);
 }
@@ -68,8 +66,10 @@ Status DecodeImcsSnapshot(const std::string& file, ImcsSnapshotImage* out) {
   if (!GetVarint64(body, &pos, &out->seq)) return Corrupt("seq");
   if (!GetVarint64(body, &pos, &v)) return Corrupt("floor scn");
   out->floor_scn = v;
+  // As in DecodeCheckpoint, a count above the bytes left is damage.
   uint64_t nsmus = 0;
-  if (!GetVarint64(body, &pos, &nsmus)) return Corrupt("smu count");
+  if (!GetVarint64(body, &pos, &nsmus) || nsmus > body.size() - pos)
+    return Corrupt("smu count");
   out->smus.clear();
   out->smus.reserve(nsmus);
   for (uint64_t i = 0; i < nsmus; ++i) {
@@ -95,11 +95,8 @@ Status DecodeImcsSnapshot(const std::string& file, ImcsSnapshotImage* out) {
     if (!GetWords(body, &pos, &s.invalid_words)) return Corrupt("invalid bitmap");
     s.columns.resize(ncols);
     for (uint64_t c = 0; c < ncols; ++c) {
-      uint64_t len = 0;
-      if (!GetVarint64(body, &pos, &len)) return Corrupt("column length");
-      if (pos + len > body.size()) return Corrupt("column body");
-      s.columns[c].assign(body.data() + pos, len);
-      pos += len;
+      if (!net::GetLengthPrefixed(body, &pos, &s.columns[c]))
+        return Corrupt("column body");
     }
     out->smus.push_back(std::move(s));
   }

@@ -1,6 +1,7 @@
 #include "persist/meta_store.h"
 
 #include "common/checksum.h"
+#include "net/codec.h"
 
 namespace stratus {
 namespace persist {
@@ -33,7 +34,8 @@ StatusOr<std::unique_ptr<MetaStore>> MetaStore::Open(const std::string& path,
   for (uint64_t i = 0; i < count; ++i) {
     std::string key;
     uint64_t value = 0;
-    if (!GetLengthPrefixed(body, &pos, &key) || !GetVarint64(body, &pos, &value)) {
+    if (!net::GetLengthPrefixed(body, &pos, &key) ||
+        !GetVarint64(body, &pos, &value)) {
       store->map_.clear();
       store->corrupt_loads_ = 1;
       return store;
@@ -65,7 +67,7 @@ Status MetaStore::Flush() {
     std::lock_guard<std::mutex> g(mu_);
     PutVarint64(&body, map_.size());
     for (const auto& [key, value] : map_) {
-      PutLengthPrefixed(&body, key);
+      net::PutLengthPrefixed(&body, key);
       PutVarint64(&body, value);
     }
   }

@@ -21,18 +21,6 @@ Status Errno(const std::string& op, const std::string& path) {
   return Status::Internal(op + " " + path + ": " + std::strerror(errno));
 }
 
-uint32_t LoadU32(const char* p) {
-  uint32_t v;
-  std::memcpy(&v, p, 4);
-  return v;
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-
 Status WriteAll(int fd, const char* data, size_t n) {
   while (n > 0) {
     const ssize_t w = ::write(fd, data, n);
@@ -263,79 +251,6 @@ Status UnwrapChecked(uint32_t magic, const std::string& file, std::string* body)
     return Status::Corruption("file CRC mismatch");
   body->assign(file.data() + 12, len);
   return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// Value codec
-// ---------------------------------------------------------------------------
-
-void PutLengthPrefixed(std::string* out, const std::string& s) {
-  PutVarint64(out, s.size());
-  out->append(s);
-}
-
-bool GetLengthPrefixed(const std::string& buf, size_t* pos, std::string* out) {
-  uint64_t n = 0;
-  if (!GetVarint64(buf, pos, &n)) return false;
-  if (*pos + n > buf.size()) return false;
-  out->assign(buf.data() + *pos, n);
-  *pos += n;
-  return true;
-}
-
-void PutValue(std::string* out, const Value& v) {
-  out->push_back(static_cast<char>(v.type()));
-  switch (v.type()) {
-    case ValueType::kNull:
-      break;
-    case ValueType::kInt:
-      PutVarint64(out, ZigzagEncode(v.as_int()));
-      break;
-    case ValueType::kString:
-      PutLengthPrefixed(out, v.as_string());
-      break;
-  }
-}
-
-bool GetValue(const std::string& buf, size_t* pos, Value* out) {
-  if (*pos >= buf.size()) return false;
-  const uint8_t type = static_cast<uint8_t>(buf[(*pos)++]);
-  switch (static_cast<ValueType>(type)) {
-    case ValueType::kNull:
-      *out = Value::Null();
-      return true;
-    case ValueType::kInt: {
-      uint64_t z = 0;
-      if (!GetVarint64(buf, pos, &z)) return false;
-      *out = Value(ZigzagDecode(z));
-      return true;
-    }
-    case ValueType::kString: {
-      std::string s;
-      if (!GetLengthPrefixed(buf, pos, &s)) return false;
-      *out = Value(std::move(s));
-      return true;
-    }
-  }
-  return false;
-}
-
-void PutRow(std::string* out, const Row& row) {
-  PutVarint64(out, row.size());
-  for (const Value& v : row) PutValue(out, v);
-}
-
-bool GetRow(const std::string& buf, size_t* pos, Row* out) {
-  uint64_t n = 0;
-  if (!GetVarint64(buf, pos, &n)) return false;
-  out->clear();
-  out->reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    Value v;
-    if (!GetValue(buf, pos, &v)) return false;
-    out->push_back(std::move(v));
-  }
-  return true;
 }
 
 }  // namespace persist

@@ -11,7 +11,6 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "persist/persist_options.h"
-#include "storage/value.h"
 
 namespace stratus {
 namespace persist {
@@ -101,22 +100,13 @@ bool FileExists(const std::string& path);
 // Checked envelope shared by every whole-file persist format (checkpoint,
 // IMCS snapshot, META): [u32 magic][u32 body_len][u32 crc32c(body)][body] —
 // the same prefix the wire frames use, so one decoder discipline covers
-// network and disk.
+// network and disk. It stays apart from net::DecodeFrame on purpose: a whole
+// file is either complete or damaged, so it needs neither the frame's
+// "incomplete, read more bytes" result nor its 64 MiB body cap. Bodies are
+// written with the value coder in net/codec.h.
 // ---------------------------------------------------------------------------
 void WrapChecked(uint32_t magic, const std::string& body, std::string* out);
 Status UnwrapChecked(uint32_t magic, const std::string& file, std::string* body);
-
-// ---------------------------------------------------------------------------
-// Value/row codec for the on-disk formats (varint + zigzag, length-prefixed
-// strings). The redo payloads inside archive frames reuse the existing
-// EncodeRedoRecord codec instead.
-// ---------------------------------------------------------------------------
-void PutLengthPrefixed(std::string* out, const std::string& s);
-bool GetLengthPrefixed(const std::string& buf, size_t* pos, std::string* out);
-void PutValue(std::string* out, const Value& v);
-bool GetValue(const std::string& buf, size_t* pos, Value* out);
-void PutRow(std::string* out, const Row& row);
-bool GetRow(const std::string& buf, size_t* pos, Row* out);
 
 }  // namespace persist
 }  // namespace stratus

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "net/codec.h"
 #include "net/wire.h"
 
 namespace stratus {
@@ -85,20 +86,8 @@ Status RedoArchive::ScanSegment(Segment* seg, std::vector<RedoRecord>* out,
     if (!s.ok()) break;  // kOutOfRange (torn) or kCorruption — truncate here.
     // A frame that passes its CRC still guards against a decoder mismatch.
     std::vector<RedoRecord> records;
-    size_t ppos = 0;
-    bool payload_ok = true;
-    while (ppos < frame.payload.size()) {
-      RedoRecord rec;
-      if (!DecodeRedoRecord(frame.payload, &ppos, &rec).ok()) {
-        payload_ok = false;
-        break;
-      }
-      records.push_back(std::move(rec));
-    }
-    if (!payload_ok) {
-      s = Status::Corruption("archive payload decode failed");
-      break;
-    }
+    s = net::DecodeRedoBatch(frame.payload, &records);
+    if (!s.ok()) break;
     if (scanned_records != nullptr) *scanned_records += records.size();
     for (RedoRecord& rec : records) {
       if (rec.scn > appended_scn_.load(std::memory_order_relaxed))
@@ -133,18 +122,15 @@ Status RedoArchive::RollLocked() {
 
 Status RedoArchive::Append(const std::vector<RedoRecord>& records) {
   if (records.empty()) return Status::OK();
-  std::string payload;
-  for (const RedoRecord& rec : records) EncodeRedoRecord(rec, &payload);
-
   net::Frame frame;
   frame.type = net::FrameType::kRedoBatch;
   frame.stream = options_.stream;
   frame.scn = records.back().scn;
+  net::EncodeRedoBatch(records, &frame.payload);
 
   std::lock_guard<std::mutex> g(mu_);
   frame.seq = next_seq_++;
   std::string buf;
-  frame.payload = std::move(payload);
   net::EncodeFrame(frame, &buf);
 
   STRATUS_RETURN_IF_ERROR(active_->Append(buf));

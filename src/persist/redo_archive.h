@@ -17,11 +17,13 @@ namespace stratus {
 namespace persist {
 
 /// The standby's archived redo for one shipped stream: CRC-checksummed,
-/// length-prefixed batches appended to segment files. Each batch rides the
-/// same frame envelope the wire uses (net::EncodeFrame, type kRedoBatch), so
-/// a torn tail on disk is detected exactly the way a damaged frame is on the
-/// network: kOutOfRange = clean truncation, kCorruption = damaged bytes —
-/// either way the scan truncates the tail and recovery never replays it.
+/// length-prefixed batches appended to segment files. Each delivered batch is
+/// stored as the wire carries it: one net::EncodeRedoBatch payload in the
+/// same frame envelope (net::EncodeFrame, type kRedoBatch), so a torn tail on
+/// disk is detected exactly the way a damaged frame is on the network:
+/// kOutOfRange = clean truncation, kCorruption = damaged bytes or a payload
+/// net::DecodeRedoBatch rejects — either way the scan truncates the tail and
+/// recovery never replays it.
 ///
 /// Invariants:
 ///  - appends are SCN-monotone (the shipped stream is);

@@ -4,8 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "net/codec.h"
-
 namespace stratus {
 
 void RemoteInstance::ApplyGroupsLocked(const std::vector<InvalidationGroup>& groups) {
@@ -106,7 +104,7 @@ void InvalidationChannel::Stop() {
   for (auto& channel : wire_channels_) channel->Stop();
 }
 
-void InvalidationChannel::Enqueue(Message msg) {
+void InvalidationChannel::Enqueue(net::InvalidationMessage msg) {
   std::lock_guard<std::mutex> g(mu_);
   queue_.push_back(std::move(msg));
   cv_.notify_one();
@@ -114,32 +112,32 @@ void InvalidationChannel::Enqueue(Message msg) {
 
 void InvalidationChannel::SendGroups(std::vector<InvalidationGroup> groups) {
   if (remotes_.empty() || groups.empty()) return;
-  Message msg;
-  msg.kind = Message::Kind::kGroups;
+  net::InvalidationMessage msg;
+  msg.kind = net::InvalKind::kGroups;
   msg.groups = std::move(groups);
   Enqueue(std::move(msg));
 }
 
 void InvalidationChannel::SendCoarse(TenantId tenant) {
   if (remotes_.empty()) return;
-  Message msg;
-  msg.kind = Message::Kind::kCoarse;
+  net::InvalidationMessage msg;
+  msg.kind = net::InvalKind::kCoarse;
   msg.tenant = tenant;
   Enqueue(std::move(msg));
 }
 
 void InvalidationChannel::SendObjectDrop(ObjectId object_id) {
   if (remotes_.empty()) return;
-  Message msg;
-  msg.kind = Message::Kind::kObjectDrop;
+  net::InvalidationMessage msg;
+  msg.kind = net::InvalKind::kObjectDrop;
   msg.object_id = object_id;
   Enqueue(std::move(msg));
 }
 
 void InvalidationChannel::SendPublish(Scn query_scn) {
   if (remotes_.empty()) return;
-  Message msg;
-  msg.kind = Message::Kind::kPublish;
+  net::InvalidationMessage msg;
+  msg.kind = net::InvalKind::kPublish;
   msg.scn = query_scn;
   Enqueue(std::move(msg));
 }
@@ -161,7 +159,7 @@ bool InvalidationChannel::Drained() const {
 void InvalidationChannel::Run() {
   size_t window = 0;  // Messages sent since the last round-trip wait.
   while (true) {
-    Message msg;
+    net::InvalidationMessage msg;
     {
       std::unique_lock<std::mutex> g(mu_);
       cv_.wait_for(g, std::chrono::milliseconds(1), [&] {
@@ -175,8 +173,8 @@ void InvalidationChannel::Run() {
       msg = std::move(queue_.front());
       queue_.pop_front();
       // Batching: coalesce consecutive group messages up to the batch limit.
-      while (msg.kind == Message::Kind::kGroups && !queue_.empty() &&
-             queue_.front().kind == Message::Kind::kGroups &&
+      while (msg.kind == net::InvalKind::kGroups && !queue_.empty() &&
+             queue_.front().kind == net::InvalKind::kGroups &&
              msg.groups.size() + queue_.front().groups.size() <=
                  options_.max_batch_groups) {
         auto& next = queue_.front();
@@ -205,43 +203,23 @@ void InvalidationChannel::Run() {
     // Encode once, ship a copy down every remote's wire. The channel (and
     // its receiver) preserves per-link order; the loopback wire delivers
     // synchronously right here, keeping the historical semantics.
-    net::InvalidationMessage wire_msg;
-    switch (msg.kind) {
-      case Message::Kind::kGroups:
-        wire_msg.kind = net::InvalKind::kGroups;
-        wire_msg.groups = std::move(msg.groups);
-        break;
-      case Message::Kind::kCoarse:
-        wire_msg.kind = net::InvalKind::kCoarse;
-        wire_msg.tenant = msg.tenant;
-        break;
-      case Message::Kind::kObjectDrop:
-        wire_msg.kind = net::InvalKind::kObjectDrop;
-        wire_msg.object_id = msg.object_id;
-        break;
-      case Message::Kind::kPublish:
-        wire_msg.kind = net::InvalKind::kPublish;
-        wire_msg.scn = msg.scn;
-        break;
-    }
     std::string payload;
-    net::EncodeInvalidationMessage(wire_msg, &payload);
-    if (msg.kind == Message::Kind::kGroups) msg.groups = std::move(wire_msg.groups);
+    net::EncodeInvalidationMessage(msg, &payload);
     for (size_t i = 0; i < wire_channels_.size(); ++i) {
       std::string copy = payload;
       wire_channels_[i]->Send(net::FrameType::kInvalidation,
                               static_cast<uint32_t>(remotes_[i]->id()),
-                              wire_msg.scn, std::move(copy));
+                              msg.scn, std::move(copy));
     }
     messages_sent_.fetch_add(1, std::memory_order_relaxed);
-    if (msg.kind == Message::Kind::kGroups) {
+    if (msg.kind == net::InvalKind::kGroups) {
       groups_sent_.fetch_add(msg.groups.size(), std::memory_order_relaxed);
       uint64_t rows = 0;
       for (const auto& g : msg.groups) rows += g.rows.size();
       rows_sent_.fetch_add(rows, std::memory_order_relaxed);
-    } else if (msg.kind == Message::Kind::kCoarse) {
+    } else if (msg.kind == net::InvalKind::kCoarse) {
       coarse_sent_.fetch_add(1, std::memory_order_relaxed);
-    } else if (msg.kind == Message::Kind::kPublish) {
+    } else if (msg.kind == net::InvalKind::kPublish) {
       publishes_sent_.fetch_add(1, std::memory_order_relaxed);
     }
     in_flight_.fetch_sub(1, std::memory_order_acq_rel);

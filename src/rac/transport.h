@@ -16,6 +16,7 @@
 #include "imcs/im_store.h"
 #include "imcs/population.h"
 #include "net/channel.h"
+#include "net/codec.h"
 #include "txn/txn_table.h"
 
 namespace stratus {
@@ -141,16 +142,8 @@ class InvalidationChannel {
   size_t wire_channel_count() const { return wire_channels_.size(); }
 
  private:
-  struct Message {
-    enum class Kind : uint8_t { kGroups, kCoarse, kObjectDrop, kPublish } kind;
-    std::vector<InvalidationGroup> groups;
-    TenantId tenant = kDefaultTenant;
-    ObjectId object_id = kInvalidObjectId;
-    Scn scn = kInvalidScn;
-  };
-
   void Run();
-  void Enqueue(Message msg);
+  void Enqueue(net::InvalidationMessage msg);
 
   std::vector<RemoteInstance*> remotes_;
   TransportOptions options_;
@@ -162,7 +155,7 @@ class InvalidationChannel {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<Message> queue_;
+  std::deque<net::InvalidationMessage> queue_;
   std::atomic<size_t> in_flight_{0};
 
   std::atomic<uint64_t> messages_sent_{0};

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/checksum.h"
 #include "imcs/column_vector.h"
 #include "persist/imcs_snapshot.h"
 #include "persist/persist_io.h"
@@ -102,6 +105,55 @@ TEST(CheckpointTest, DecodeRejectsDamage) {
   // Truncation (a torn rename never produces this, but a bad copy might).
   CheckpointImage out2;
   EXPECT_FALSE(DecodeCheckpoint(encoded.substr(0, encoded.size() - 5), &out2).ok());
+}
+
+// Crafted bodies behind valid CRCs: a count, arity or length larger than the
+// bytes left in the file decodes to Corruption instead of reserving or
+// assigning that many elements.
+TEST(CheckpointTest, OversizedCountsAreCorruptionNotExceptions) {
+  const auto magic_of = [](const std::string& file) {
+    uint32_t magic = 0;
+    std::memcpy(&magic, file.data(), sizeof(magic));
+    return magic;
+  };
+  const auto varints = [](std::initializer_list<uint64_t> values) {
+    std::string body;
+    for (uint64_t v : values) PutVarint64(&body, v);
+    return body;
+  };
+  std::string ckpt_file;
+  EncodeCheckpoint(MakeCheckpoint(), &ckpt_file);
+  std::string snap_file;
+  EncodeImcsSnapshot(ImcsSnapshotImage{}, &snap_file);
+  constexpr uint64_t kHuge = uint64_t{1} << 62;
+
+  // Each body starts with seq, recovery_scn and end_scn.
+  // (1) A huge table count.
+  const std::string huge_tables = varints({1, 2, 3, kHuge});
+  // (2) No tables, one block (dba, object, tenant, frontier) of one slot whose
+  // one version (xid, live) claims a huge row arity.
+  std::string huge_arity = varints({1, 2, 3, 0, 1, 11, 9, 2, 120, 1, 1, 5});
+  huge_arity.push_back(0);
+  huge_arity += varints({kHuge});
+  // (3) One table (object id, tenant) whose name length wraps pos + len.
+  const std::string wrapping_name =
+      varints({1, 2, 3, 1, 9, 2, ~uint64_t{0} - 2});
+  for (const std::string& body : {huge_tables, huge_arity, wrapping_name}) {
+    std::string file;
+    WrapChecked(magic_of(ckpt_file), body, &file);
+    CheckpointImage out;
+    Status s = Status::OK();
+    EXPECT_NO_THROW(s = DecodeCheckpoint(file, &out));
+    EXPECT_EQ(s.code(), Code::kCorruption) << s.ToString();
+  }
+
+  // (4) A snapshot (seq, floor_scn) with a huge SMU count.
+  std::string file;
+  WrapChecked(magic_of(snap_file), varints({1, 2, kHuge}), &file);
+  ImcsSnapshotImage snap;
+  Status s = Status::OK();
+  EXPECT_NO_THROW(s = DecodeImcsSnapshot(file, &snap));
+  EXPECT_EQ(s.code(), Code::kCorruption) << s.ToString();
 }
 
 TEST(ImcsSnapshotTest, EncodeDecodeRoundtrip) {

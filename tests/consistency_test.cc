@@ -13,6 +13,20 @@
 namespace stratus {
 namespace {
 
+/// The one loop condition of every churn check in this file. A test checks
+/// until it reaches the minimum its `EXPECT_GE(checks, …)` asserts, then
+/// keeps checking toward `max_checks` only while the 15 s soft deadline
+/// lasts: a slow host (a sanitizer build under load takes seconds per check)
+/// makes the test slower, not failed. The 120 s hard stop keeps a standby
+/// that never publishes from hanging the suite; the `EXPECT_GE` then fails.
+bool KeepChecking(int checks, int min_checks, int max_checks,
+                  uint64_t start_us) {
+  const uint64_t elapsed_us = NowMicros() - start_us;
+  if (elapsed_us >= 120'000'000) return false;
+  return checks < min_checks ||
+         (checks < max_checks && elapsed_us < 15'000'000);
+}
+
 /// Shared harness for the end-to-end consistency properties: an AdgCluster
 /// with a populated standby IMCS and two writer threads hammering updates /
 /// inserts / deletes on the primary, so every check below runs while the
@@ -159,8 +173,8 @@ TEST_P(ConsistencyTest, StandbyEqualsPrimaryAtEveryQueryScn) {
   // Verifier: compare standby and primary at the standby's QuerySCN.
   Random qrng(seed * 7 + 3);
   int checks = 0;
-  const uint64_t deadline = NowMicros() + 15'000'000;
-  while (checks < 25 && NowMicros() < deadline) {
+  const uint64_t start = NowMicros();
+  while (KeepChecking(checks, /*min_checks=*/10, /*max_checks=*/25, start)) {
     ScanQuery q = RandomQuery(harness.table(), &qrng);
     q.aggregates = {{AggKind::kSum, 2}};
 
@@ -199,8 +213,8 @@ TEST_P(ConsistencyTest, DopSweepByteIdenticalUnderChurn) {
 
   Random qrng(seed * 11 + 5);
   int checks = 0;
-  const uint64_t deadline = NowMicros() + 15'000'000;
-  while (checks < 12 && NowMicros() < deadline) {
+  const uint64_t start = NowMicros();
+  while (KeepChecking(checks, /*min_checks=*/6, /*max_checks=*/12, start)) {
     ScanQuery q = RandomQuery(harness.table(), &qrng);
     if (qrng.Percent(50)) {
       q.aggregates = {{AggKind::kSum, 2}};
@@ -262,8 +276,8 @@ TEST_P(ConsistencyTest, TwoRedoThreadsPinnedScnEqualsPrimary) {
   Random qrng(seed * 19 + 11);
   int checks = 0;
   Scn last_checked = kInvalidScn;
-  const uint64_t deadline = NowMicros() + 15'000'000;
-  while (checks < 12 && NowMicros() < deadline) {
+  const uint64_t start = NowMicros();
+  while (KeepChecking(checks, /*min_checks=*/6, /*max_checks=*/12, start)) {
     // Each check pins a fresh QuerySCN, so the checks span the advance.
     const Scn scn = cluster.standby()->query_scn();
     if (scn == kInvalidScn || scn == last_checked) {
@@ -315,8 +329,8 @@ TEST_P(ConsistencyTest, GroupedAggByteIdenticalUnderChurn) {
 
   Random qrng(seed * 13 + 7);
   int checks = 0;
-  const uint64_t deadline = NowMicros() + 15'000'000;
-  while (checks < 8 && NowMicros() < deadline) {
+  const uint64_t start = NowMicros();
+  while (KeepChecking(checks, /*min_checks=*/4, /*max_checks=*/8, start)) {
     ScanQuery q = RandomQuery(harness.table(), &qrng);
     q.group_by = {static_cast<uint32_t>(qrng.Percent(50) ? 1 : 3)};
     q.aggregates = {{AggKind::kCount, 0}, {AggKind::kSum, 2}};
@@ -418,8 +432,8 @@ TEST_P(ConsistencyTest, MultiJoinByteIdenticalUnderChurn) {
 
   Random qrng(seed * 17 + 9);
   int checks = 0;
-  const uint64_t deadline = NowMicros() + 15'000'000;
-  while (checks < 4 && NowMicros() < deadline) {
+  const uint64_t start = NowMicros();
+  while (KeepChecking(checks, /*min_checks=*/3, /*max_checks=*/4, start)) {
     const Scn scn = cluster.standby()->query_scn();
     if (scn == kInvalidScn) continue;
 
@@ -584,8 +598,8 @@ TEST_P(FleetConsistencyTest, PinnedQueryByteIdenticalOnEveryStandby) {
   Random qrng(seed * 11 + 3);
 
   int checks = 0;
-  const uint64_t deadline = NowMicros() + 15'000'000;
-  while (checks < 10 && NowMicros() < deadline) {
+  const uint64_t start = NowMicros();
+  while (KeepChecking(checks, /*min_checks=*/5, /*max_checks=*/10, start)) {
     ScanQuery q = RandomQuery(harness.table(), &qrng);
     q.aggregates = {{AggKind::kSum, 2}};
 
@@ -636,8 +650,8 @@ TEST_P(FleetConsistencyTest, StrictRoutingNeverBelowFreshestWatermark) {
   Random qrng(seed * 13 + 5);
 
   int checks = 0;
-  const uint64_t deadline = NowMicros() + 15'000'000;
-  while (checks < 15 && NowMicros() < deadline) {
+  const uint64_t start = NowMicros();
+  while (KeepChecking(checks, /*min_checks=*/8, /*max_checks=*/15, start)) {
     ScanQuery q = RandomQuery(harness.table(), &qrng);
     q.aggregates = {{AggKind::kSum, 2}};
 

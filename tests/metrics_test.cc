@@ -176,6 +176,16 @@ TEST(MetricsRegistryTest, JsonExportContainsSeries) {
   EXPECT_NE(json.find("\"type\":\"histogram\",\"count\":1"), std::string::npos);
 }
 
+TEST(MetricsRegistryTest, JsonExportEscapesControlCharacters) {
+  MetricsRegistry registry;
+  // A tab and a raw 0x01 byte in a label value must leave ExportJson as
+  // JSON escapes; emitted raw they make the document invalid.
+  registry.GetCounter("stratus_ops", {{"note", "a\tb\x01" "c"}})->Inc();
+  const std::string json = registry.ExportJson();
+  EXPECT_NE(json.find("\"note\":\"a\\tb\\u0001c\""), std::string::npos)
+      << json;
+}
+
 TEST(MetricsRegistryTest, CallbacksAddAndRemove) {
   MetricsRegistry registry;
   const uint64_t id = registry.AddCallback([](MetricsSink* sink) {
